@@ -131,6 +131,16 @@ def _execute_job(fn: str, spec: dict, timeout: float | None) -> tuple[str, Any]:
         return "error", f"{type(exc).__name__}: {exc}"
 
 
+def _timed_execute_job(
+    fn: str, spec: dict, timeout: float | None
+) -> tuple[str, Any, float]:
+    """Pool entry point: :func:`_execute_job` plus the seconds it ran in
+    the worker, so a job's time leaves out its wait in the pool queue."""
+    t0 = time.perf_counter()
+    status, payload = _execute_job(fn, spec, timeout)
+    return status, payload, time.perf_counter() - t0
+
+
 def _execute_callable(
     fn: Callable[..., Any], args: tuple, timeout: float | None
 ) -> tuple[str, Any]:
@@ -264,7 +274,7 @@ class ParallelExecutor:
         results: list[JobResult | None] = [None] * len(jobs)
         attempts = [0] * len(jobs)
         timeouts = [0] * len(jobs)
-        started = [0.0] * len(jobs)
+        seconds = [0.0] * len(jobs)  # in-worker time, summed over attempts
         try:
             with ProcessPoolExecutor(
                 max_workers=min(self.max_workers, len(jobs)),
@@ -274,9 +284,8 @@ class ParallelExecutor:
 
                 def submit(i: int) -> None:
                     attempts[i] += 1
-                    started[i] = time.perf_counter()
                     fut = pool.submit(
-                        _execute_job, jobs[i].fn, jobs[i].spec, self.timeout
+                        _timed_execute_job, jobs[i].fn, jobs[i].spec, self.timeout
                     )
                     future_to_index[fut] = i
                     _job_event(
@@ -292,7 +301,6 @@ class ParallelExecutor:
                     )
                     for fut in done:
                         i = future_to_index.pop(fut)
-                        elapsed = time.perf_counter() - started[i]
                         exc = fut.exception()
                         if isinstance(exc, BrokenProcessPool):
                             raise exc
@@ -300,7 +308,8 @@ class ParallelExecutor:
                             # e.g. the spec failed to pickle: deterministic
                             status, payload = "error", f"{type(exc).__name__}: {exc}"
                         else:
-                            status, payload = fut.result()
+                            status, payload, took = fut.result()
+                            seconds[i] += took
                         if status == "transient" and _is_timeout(payload):
                             timeouts[i] += 1
                             _job_event(
@@ -316,7 +325,7 @@ class ParallelExecutor:
                             job=jobs[i],
                             value=payload if status == "ok" else None,
                             error=None if status == "ok" else payload,
-                            seconds=elapsed,
+                            seconds=seconds[i],
                             attempts=attempts[i],
                             worker="pool",
                             timeouts=timeouts[i],
@@ -324,7 +333,7 @@ class ParallelExecutor:
                         _job_event(
                             "job.finished", jobs[i], status=status,
                             attempts=attempts[i],
-                            seconds=round(elapsed, 6), worker="pool",
+                            seconds=round(seconds[i], 6), worker="pool",
                         )
                         if on_result is not None:
                             on_result(results[i])

@@ -76,25 +76,17 @@ def measure_bandwidth(
     to passing ``traffic`` directly; the two are mutually exclusive.
     """
     rng = rng_from_seed(seed)
-    traffic, num_messages = _validated(
-        machine, traffic, num_messages, strategy, workload, workload_params
-    )
-
     with obs.span(
-        "measure_bandwidth",
-        machine=machine.name,
-        strategy=strategy,
-        num_messages=num_messages,
+        "measure_bandwidth", machine=machine.name, strategy=strategy
     ) as sp:
+        traffic, num_messages = _validated(
+            machine, traffic, num_messages, strategy, workload, workload_params
+        )
+        sp.set(num_messages=num_messages)
         with obs.span("measure.sample"):
-            messages = traffic.sample_messages(num_messages, seed=rng)
+            messages = traffic.sampler()(num_messages, seed=rng)
         with obs.span("measure.plan", strategy=strategy):
-            if strategy == "shortest":
-                itineraries = shortest_path_route(machine, messages)
-            elif strategy == "dimension_order":
-                itineraries = dimension_order_route(machine, messages)
-            else:
-                itineraries = valiant_route(machine, messages, seed=rng)
+            itineraries = _plan(machine, messages, strategy, rng)
 
         sim = RoutingSimulator(machine, policy=policy, engine=engine)
         result: RoutingResult = sim.route(itineraries)
@@ -117,16 +109,7 @@ def _validated(machine, traffic, num_messages, strategy, workload=None,
     if strategy not in _STRATEGIES:
         raise ValueError(f"strategy must be one of {_STRATEGIES}, got {strategy!r}")
     n = machine.num_nodes
-    if workload is not None:
-        if traffic is not None:
-            raise ValueError("pass either traffic or workload, not both")
-        from repro.workloads.registry import resolve_workload
-
-        traffic = resolve_workload(workload, n, workload_params).traffic
-    elif workload_params:
-        raise ValueError("workload params given without a workload key")
-    if traffic is None:
-        traffic = symmetric_traffic(n)
+    traffic, _ = resolve_traffic(n, traffic, workload, workload_params)
     if traffic.n != n:
         raise ValueError(
             f"traffic is over {traffic.n} nodes but machine has {n}"
@@ -135,6 +118,41 @@ def _validated(machine, traffic, num_messages, strategy, workload=None,
         num_messages = 8 * n
     check_positive_int(num_messages, "num_messages")
     return traffic, num_messages
+
+
+def resolve_traffic(
+    n: int, traffic=None, workload=None, workload_params: dict | None = None
+):
+    """The distribution a run samples from, plus its ``Workload`` if named.
+
+    ``traffic`` and ``workload`` (a :mod:`repro.workloads` key or built
+    ``Workload``) are mutually exclusive; with neither, the symmetric
+    distribution.  What has to be built is built under a
+    ``traffic.build`` span.
+    """
+    if workload is None:
+        if workload_params:
+            raise ValueError("workload params given without a workload key")
+        if traffic is not None:
+            return traffic, None
+        with obs.span("traffic.build", n=n):
+            return symmetric_traffic(n), None
+    if traffic is not None:
+        raise ValueError("pass either traffic or workload, not both")
+    from repro.workloads.registry import resolve_workload
+
+    with obs.span("traffic.build", n=n):
+        wl = resolve_workload(workload, n, workload_params)
+    return wl.traffic, wl
+
+
+def _plan(machine: Machine, messages: np.ndarray, strategy: str, rng) -> list[list[int]]:
+    """Itineraries for one sampled ``(m, 2)`` message array."""
+    if strategy == "shortest":
+        return shortest_path_route(machine, messages)
+    if strategy == "dimension_order":
+        return dimension_order_route(machine, messages.tolist())
+    return valiant_route(machine, messages, seed=rng)
 
 
 def measure_bandwidth_many(
@@ -158,16 +176,16 @@ def measure_bandwidth_many(
     tick loop (:meth:`RoutingSimulator.route_batch`), so an 8-seed
     replication costs far less than 8 sequential measurements.
     """
-    traffic, num_messages = _validated(
-        machine, traffic, num_messages, strategy, workload, workload_params
-    )
     with obs.span(
         "measure_bandwidth.many",
         machine=machine.name,
         strategy=strategy,
         runs=len(seeds),
-        num_messages=num_messages,
-    ):
+    ) as sp:
+        traffic, num_messages = _validated(
+            machine, traffic, num_messages, strategy, workload, workload_params
+        )
+        sp.set(num_messages=num_messages)
         batches = []
         draw = traffic.sampler()  # hoist the per-call O(support) setup
         for seed in seeds:
@@ -175,13 +193,7 @@ def measure_bandwidth_many(
             with obs.span("measure.sample"):
                 messages = draw(num_messages, seed=rng)
             with obs.span("measure.plan", strategy=strategy):
-                if strategy == "shortest":
-                    itineraries = shortest_path_route(machine, messages)
-                elif strategy == "dimension_order":
-                    itineraries = dimension_order_route(machine, messages)
-                else:
-                    itineraries = valiant_route(machine, messages, seed=rng)
-            batches.append(itineraries)
+                batches.append(_plan(machine, messages, strategy, rng))
 
         sim = RoutingSimulator(machine, policy=policy, engine=engine)
         results = sim.route_batch(batches)

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs import trace as obs
+from repro.routing.measure import resolve_traffic
 from repro.routing.simulator import RoutingSimulator
 from repro.topologies.base import Machine
-from repro.traffic.distribution import TrafficDistribution, symmetric_traffic
+from repro.traffic.distribution import TrafficDistribution
 from repro.util import check_positive_int, rng_from_seed
 
 __all__ = [
@@ -89,79 +91,70 @@ def saturation_sweep(
     check_positive_int(duration, "duration")
     rng = rng_from_seed(seed)
     n = machine.num_nodes
-    gate_open = None
-    if workload is not None:
-        if traffic is not None:
-            raise ValueError("pass either traffic or workload, not both")
-        from repro.workloads.registry import resolve_workload
-
-        wl = resolve_workload(workload, n, workload_params)
-        traffic = wl.traffic
-        gate_open = wl.gate_open(duration)
-    elif workload_params:
-        raise ValueError("workload params given without a workload key")
-    if traffic is None:
-        traffic = symmetric_traffic(n)
-    if rates is None:
-        rates = [0.05, 0.1, 0.2, 0.4, 0.7, 1.0]
-    sim = RoutingSimulator(machine, policy=policy, engine=engine)
-    draw = traffic.sampler()  # hoist the per-rate O(support) setup
-    # Draw every rate's injections and destinations first (the rng
-    # consumption order matches the old one-rate-at-a-time loop, so
-    # sampled workloads are unchanged), then route them as one batch.
-    runs: list[tuple[list[list[int]], list[int]] | None] = []
-    for r in rates:
-        if not 0 < r <= 1:
-            raise ValueError(f"rates must be in (0, 1], got {r}")
-        # Bernoulli injection at each (node, tick).
-        inject = rng.random((duration, n)) < r
-        if gate_open is not None:
-            inject &= gate_open[:, None]
-        count = int(inject.sum())
-        if count == 0:
-            runs.append(None)
-            continue
-        msgs = draw(count, seed=rng)
-        ticks, nodes = np.nonzero(inject)
-        # Keep the sampled destination but anchor the source at the
-        # injecting node so the spatial process is honest; a sampled
-        # self-destination bumps to the next node, as before.
-        dst = np.asarray(msgs, dtype=np.int64)[:, 1]
-        dst = np.where(dst == nodes, (dst + 1) % n, dst)
-        itineraries = np.column_stack([nodes, dst]).tolist()
-        runs.append((itineraries, ticks.tolist()))
-    live = [run for run in runs if run is not None]
-    results = iter(
-        sim.route_batch(
-            [its for its, _ in live],
-            [rel for _, rel in live],
+    with obs.span(
+        "saturation_sweep", machine=machine.name, duration=duration
+    ) as sp:
+        traffic, wl = resolve_traffic(n, traffic, workload, workload_params)
+        gate_open = None if wl is None else wl.gate_open(duration)
+        if rates is None:
+            rates = [0.05, 0.1, 0.2, 0.4, 0.7, 1.0]
+        sp.set(rates=len(rates))
+        sim = RoutingSimulator(machine, policy=policy, engine=engine)
+        draw = traffic.sampler()  # hoist the per-rate O(support) setup
+        # Draw every rate's injections and destinations first (the rng
+        # consumption order matches the old one-rate-at-a-time loop, so
+        # sampled workloads are unchanged), then route them as one batch.
+        runs: list[tuple[np.ndarray, list[int]] | None] = []
+        for r in rates:
+            if not 0 < r <= 1:
+                raise ValueError(f"rates must be in (0, 1], got {r}")
+            # Bernoulli injection at each (node, tick).
+            inject = rng.random((duration, n)) < r
+            if gate_open is not None:
+                inject &= gate_open[:, None]
+            count = int(inject.sum())
+            if count == 0:
+                runs.append(None)
+                continue
+            dst = draw(count, seed=rng)[:, 1]
+            ticks, nodes = np.nonzero(inject)
+            # Keep the sampled destination but anchor the source at the
+            # injecting node so the spatial process is honest; a sampled
+            # self-destination bumps to the next node, as before.
+            dst = np.where(dst == nodes, (dst + 1) % n, dst)
+            runs.append((np.column_stack([nodes, dst]), ticks.tolist()))
+        live = [run for run in runs if run is not None]
+        results = iter(
+            sim.route_batch(
+                [its for its, _ in live],
+                [rel for _, rel in live],
+            )
         )
-    )
-    points = []
-    for r, run in zip(rates, runs):
-        if run is None:
+        points = []
+        for r, run in zip(rates, runs):
+            if run is None:
+                points.append(
+                    SaturationPoint(
+                        offered_rate=float(r),
+                        delivered_rate=0.0,
+                        mean_latency=0.0,
+                        p99_latency=0.0,
+                        max_queue=0,
+                    )
+                )
+                continue
+            _, release = run
+            result = next(results)
+            latencies = result.delivery_times - np.asarray(release)
             points.append(
                 SaturationPoint(
                     offered_rate=float(r),
-                    delivered_rate=0.0,
-                    mean_latency=0.0,
-                    p99_latency=0.0,
-                    max_queue=0,
+                    delivered_rate=result.num_packets / max(1, result.total_time),
+                    mean_latency=float(latencies.mean()),
+                    p99_latency=float(np.percentile(latencies, 99)),
+                    max_queue=result.max_queue,
                 )
             )
-            continue
-        _, release = run
-        result = next(results)
-        latencies = result.delivery_times - np.asarray(release)
-        points.append(
-            SaturationPoint(
-                offered_rate=float(r),
-                delivered_rate=result.num_packets / max(1, result.total_time),
-                mean_latency=float(latencies.mean()),
-                p99_latency=float(np.percentile(latencies, 99)),
-                max_queue=result.max_queue,
-            )
-        )
     return points
 
 

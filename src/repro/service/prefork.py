@@ -308,6 +308,11 @@ def _worker_main(
         sock.listen(128)
     else:
         sock = lsock
+        # Every worker polls this one listener and all of them wake on
+        # each connection.  The losers must get EAGAIN (socketserver
+        # ignores it) rather than block in accept(), where shutdown()
+        # would wait forever for serve_forever to return.
+        sock.setblocking(False)
 
     state = WorkerState(metrics_dir, index=index, workers=workers,
                         strategy=strategy)

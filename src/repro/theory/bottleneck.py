@@ -51,10 +51,11 @@ def _subset_quasi_symmetric(
     """Quasi-symmetric traffic supported on ``subset`` of the n nodes."""
     m = len(subset)
     base = quasi_symmetric_traffic(m, fraction=fraction, seed=rng)
-    pairs = {
-        (int(subset[s]), int(subset[d])): w for (s, d), w in base.pairs.items()
-    }
-    return TrafficDistribution(n, pairs, name=f"quasi_symmetric[m={m}]")
+    s, d = np.divmod(base.codes, m)
+    subset = np.asarray(subset, dtype=np.int64)
+    return TrafficDistribution.from_codes(
+        n, subset[s] * n + subset[d], base.weights, name=f"quasi_symmetric[m={m}]"
+    )
 
 
 def bottleneck_freeness(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.traffic.distribution import TrafficDistribution
+from repro.traffic.distribution import TrafficDistribution, off_diagonal_codes
 from repro.util import check_positive_int
 
 __all__ = ["gate_mask", "scale_free_traffic"]
@@ -31,13 +31,11 @@ def scale_free_traffic(n: int, alpha: float = 1.0) -> TrafficDistribution:
     if not 0 <= alpha <= 8:
         raise ValueError(f"alpha must be in [0, 8], got {alpha}")
     w = np.arange(1, n + 1, dtype=float) ** -alpha
-    pairs = {
-        (s, d): float(w[s] * w[d])
-        for s in range(n)
-        for d in range(n)
-        if s != d
-    }
-    return TrafficDistribution(n, pairs, name=f"scale_free({alpha})")
+    codes = off_diagonal_codes(n)
+    s, d = np.divmod(codes, n)
+    return TrafficDistribution.from_codes(
+        n, codes, w[s] * w[d], name=f"scale_free({alpha})"
+    )
 
 
 def gate_mask(duration: int, on: int, off: int) -> np.ndarray:

@@ -235,6 +235,15 @@ class TestExecutors:
         assert [r.worker for r in results] == ["serial"] * 3
         assert [r.value["doubled"] for r in results] == [0, 2, 4]
 
+    def test_parallel_seconds_exclude_pool_queue_wait(self):
+        """A pooled job's ``seconds`` is its run in the worker, not its
+        wait in the pool queue: two workers cannot be busy for more than
+        twice the sweep's wall time."""
+        jobs = expand_grid(SLEEPY, {"seconds": [0.04, 0.05, 0.06, 0.07], "copy": [0, 1]})
+        sweep = run_sweep(jobs, executor=ParallelExecutor(max_workers=2))
+        assert sweep.ok, sweep.errors()
+        assert sum(r.seconds for r in sweep.results) <= 2 * sweep.wall_seconds
+
     def test_run_callable_parallel_matches_serial(self):
         args = [(i,) for i in range(6)]
         serial = SerialExecutor().run_callable(_square, args)

@@ -37,7 +37,7 @@ from repro.obs import (
     read_events,
 )
 from repro.obs import trace as obs
-from repro.routing import measure_bandwidth
+from repro.routing import measure_bandwidth, saturation_sweep
 from repro.service.app import QueryService
 from repro.topologies.registry import family_spec
 
@@ -320,6 +320,18 @@ class TestDeterministicSpanTree:
         assert "measure_bandwidth" in names
         assert "measure.sample" in names and "measure.plan" in names
         assert "route.fast" in names
+        assert "traffic.build" in names
+
+    def test_saturation_sweep_spans_its_traffic_build(self):
+        """The sweep has a root span, and building its default traffic
+        is a child of it rather than untraced self time."""
+        machine = family_spec("mesh_2").build_with_size(16)
+        sink = MemorySink()
+        with obs.tracing(sink=sink):
+            saturation_sweep(machine, rates=[0.5], duration=16, seed=1)
+        report = build_report(sink.events)
+        assert report.find("saturation_sweep", "traffic.build").count == 1
+        assert report.find("saturation_sweep", "route.batch").count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.traffic import (
@@ -20,24 +22,55 @@ from repro.traffic import (
     symmetric_traffic,
     transpose_traffic,
 )
+from tests.hypothesis_profiles import DETERMINISM
+
+
+def _rejects(message: str):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
 class TestDistributionBasics:
     def test_rejects_self_pairs(self):
-        with pytest.raises(ValueError):
+        with _rejects("self-pair (1, 1) not allowed"):
             TrafficDistribution(4, {(1, 1): 1.0})
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with _rejects("pair (0, 5) out of range for n=4"):
             TrafficDistribution(4, {(0, 5): 1.0})
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
+        with _rejects("negative weight -1.0 for pair (0, 1)"):
             TrafficDistribution(4, {(0, 1): -1.0})
 
     def test_rejects_empty_support(self):
-        with pytest.raises(ValueError):
+        with _rejects("traffic distribution must have positive support"):
             TrafficDistribution(4, {(0, 1): 0.0})
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # The first offending pair in dict order is the one named...
+            ({(0, 1): 1.0, (2, 2): 1.0, (0, 9): 1.0}, "self-pair (2, 2) not allowed"),
+            ({(0, 1): -2, (3, 3): 1.0}, "negative weight -2 for pair (0, 1)"),
+            # ...checked for range first, then self-pair, then sign.
+            ({(9, 9): -1.0}, "pair (9, 9) out of range for n=4"),
+            ({(2, 2): -1.0}, "self-pair (2, 2) not allowed"),
+            ({}, "traffic distribution must have positive support"),
+        ],
+    )
+    def test_rejection_names_the_first_offender(self, pairs, message):
+        with _rejects(message):
+            TrafficDistribution(4, pairs)
+
+    def test_array_constructor_rejects_alike(self):
+        with _rejects("self-pair (1, 1) not allowed"):
+            TrafficDistribution.from_codes(4, [1, 5], [1.0, 1.0])
+        with _rejects("pair (4, 0) out of range for n=4"):
+            TrafficDistribution.from_codes(4, [16], [1.0])
+        with _rejects("negative weight -1.0 for pair (0, 1)"):
+            TrafficDistribution.from_codes(4, [1], [-1.0])
+        with _rejects("traffic distribution must have positive support"):
+            TrafficDistribution.from_codes(4, [1], [0.0])
 
     def test_zero_weights_dropped(self):
         d = TrafficDistribution(4, {(0, 1): 1.0, (1, 2): 0.0})
@@ -76,6 +109,39 @@ class TestSymmetric:
             counts[m] = counts.get(m, 0) + 1
         assert len(counts) == 12
         assert max(counts.values()) < 2.0 * min(counts.values())
+
+
+class TestSampler:
+    @given(
+        n=st.integers(min_value=2, max_value=6),
+        m=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @DETERMINISM
+    def test_draws_replay_generator_choice(self, n, m, seed, data):
+        """Draws equal ``Generator.choice(len(w), size=m, p=w / w.sum())``
+        over the support, for any weights and pair order, so a numpy
+        change to ``choice`` fails here instead of silently moving every
+        draw stream."""
+        order = data.draw(
+            st.permutations([(s, d) for s in range(n) for d in range(n) if s != d])
+        )
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1e6),
+                min_size=len(order),
+                max_size=len(order),
+            )
+        )
+        assume(any(w > 0 for w in weights))
+        dist = TrafficDistribution(n, dict(zip(order, weights)))
+        support = list(dist.pairs)
+        w = np.array(list(dist.pairs.values()))
+        idx = np.random.default_rng(seed).choice(len(w), size=m, p=w / w.sum())
+        expected = [support[i] for i in idx]
+        assert dist.sampler()(m, seed).tolist() == [list(p) for p in expected]
+        assert dist.sample_messages(m, seed) == expected
 
 
 class TestQuasiSymmetric:
