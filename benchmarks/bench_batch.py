@@ -4,7 +4,7 @@ Times an 8-seed replicated bandwidth estimate end-to-end both ways:
 
 * **sequential** -- ``replicate()`` calling ``measure_bandwidth`` once
   per seed on the fast engine (each call rebuilds the traffic
-  distribution and runs its own tick loop);
+  distribution and routes its seed as a one-run batch);
 * **batched** -- ``replicate(..., batch=True)`` over
   ``measure_bandwidth_many``, which builds the traffic once, reuses the
   shared tables, and routes all seeds through one ``route_many`` tick

@@ -40,6 +40,7 @@ from repro.bandwidth import beta_bracket, beta_value
 from repro.emulation import Emulator
 from repro.experiments import replicate
 from repro.routing import (
+    ENGINES,
     EngineUnavailableError,
     measure_bandwidth,
     measure_bandwidth_many,
@@ -772,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bw.add_argument(
         "--engine",
-        choices=["fast", "reference", "event", "compiled", "auto"],
+        choices=ENGINES,
         default="fast",
         help="simulator engine (all give identical results; "
         "see docs/PERFORMANCE.md for when each wins)",
@@ -791,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sat.add_argument(
         "--engine",
-        choices=["fast", "reference", "event", "compiled", "auto"],
+        choices=ENGINES,
         default="fast",
         help="simulator engine (all give identical results; "
         "see docs/PERFORMANCE.md for when each wins)",
@@ -970,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snb.add_argument(
         "--engine",
-        choices=["fast", "reference", "event", "compiled", "auto"],
+        choices=ENGINES,
         default="fast",
         help="simulator engine for the bandwidth cells",
     )
@@ -1136,7 +1137,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except EngineUnavailableError as exc:
-        # --engine compiled without Numba or a C toolchain: one clean
+        # --engine compiled without a C toolchain: one clean
         # line (the probe's reason), not a traceback.
         raise SystemExit(f"error: {exc}") from None
     except BrokenPipeError:

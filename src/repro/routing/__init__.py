@@ -25,7 +25,7 @@ from repro.routing.saturation import (
     saturation_bandwidth,
     saturation_sweep,
 )
-from repro.routing.simulator import RoutingResult, RoutingSimulator
+from repro.routing.simulator import ENGINES, RoutingResult, RoutingSimulator
 from repro.routing.stats import LinkStats, link_stats
 from repro.routing.strategies import shortest_path_route, valiant_route
 from repro.routing.tables import NextHopTables
@@ -33,6 +33,7 @@ from repro.routing.tables import NextHopTables
 __all__ = [
     "BandwidthMeasurement",
     "DimensionOrderRouter",
+    "ENGINES",
     "EngineUnavailableError",
     "dimension_order_route",
     "NextHopTables",

@@ -1,18 +1,26 @@
-/* C translation of the routing tick kernel.
+/* The routing tick kernel behind engine="compiled".
  *
- * This file is a line-for-line port of `tick_kernel` in kernel_py.py
- * (which is also what Numba @njit-compiles); keep the two in sync.
- * repro.routing.compiled builds it at first use with the system C
- * compiler (`cc -O2 -shared -fPIC`), caches the shared object on disk
+ * repro.routing.compiled builds this file at first use with the system
+ * C compiler (`cc -O2 -shared -fPIC`), caches the shared object on disk
  * keyed by a hash of this source, and calls it through ctypes -- no
  * Python.h, no build-time dependency beyond a C toolchain.
  *
- * All arrays are int64 and caller-allocated; see kernel_py.py for the
- * layout (flat itineraries, flattened dist/next_eid matrices, intrusive
- * linked-list queues threaded through qnext with per-edge heads qhead).
+ * Data layout (all int64, caller-allocated): itineraries use the flat
+ * layout of repro.routing.engine.flatten_legs (waypoint stream leg_flat,
+ * per-packet offsets leg_ptr, final destinations fin); the per-(node,
+ * dest) dist/next_eid matrices are flattened row-major; each directed
+ * edge's queue is an intrusive linked list threaded through qnext
+ * (packet id -> next packet id) with head table qhead and occupancy
+ * qlen.  The queue winner is the minimum of the arbitration key pkey --
+ * ((n << 32) - (remaining << 32)) | seq for farthest-first, bare seq for
+ * FIFO -- so a pop scans its queue's list.  When nothing is queued the
+ * clock jumps to the next release tick; the jumped ticks are reported
+ * as ticks_skipped.
+ *
  * Results land in out[5] = {status, total_time, max_queue,
  * ticks_skipped, undelivered_left}; status 1 means the tick budget was
- * exceeded with packets still undelivered.
+ * exceeded with packets still undelivered (KERNEL_STATUS_* in
+ * compiled.py).
  */
 
 #include <stdint.h>

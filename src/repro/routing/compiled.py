@@ -1,26 +1,20 @@
 """The compiled routing engine (``engine="compiled"``).
 
-One kernel algorithm (:func:`repro.routing.kernel_py.tick_kernel`), two
-native executors, picked at first use:
+``routing/_kernel.c`` holds the whole tick loop in C.  At first use it
+is built with the system C compiler into a shared object cached on
+disk keyed by a hash of the source, warmed on a two-node toy route, and
+called through :mod:`ctypes` -- no ``Python.h``, no build dependency
+beyond ``cc``.
 
-* **numba** -- ``numba.njit(cache=True)`` of the Python kernel source,
-  warmed on a two-node toy route at provider creation so the first real
-  call never pays JIT latency;
-* **cext** -- ``routing/_kernel.c`` (the literal C translation) built
-  with the system C compiler into a shared object cached on disk keyed
-  by a hash of the source, called through :mod:`ctypes` -- no
-  ``Python.h``, no build dependency beyond ``cc``.
-
-Provider order is numba then cext; the ``REPRO_COMPILED`` environment
-variable forces ``numba``, ``cext``, or ``off`` (the CI fallback leg
-uses ``off`` to exercise the no-toolchain path on machines that have
-one).  :func:`capability` probes without raising; asking for the engine
-when no provider works raises :class:`EngineUnavailableError`, which
-``engine="auto"`` and the CLI turn into a silent fallback and a clean
-one-line error respectively.
+Setting the ``REPRO_COMPILED`` environment variable to ``off`` hides
+the provider, so machines that have a toolchain can exercise the
+no-toolchain path (CI and the tests do).  :func:`capability` probes
+without raising; asking for the engine when no provider works raises
+:class:`EngineUnavailableError`, which ``engine="auto"`` and the CLI
+turn into a silent fallback and a clean one-line error respectively.
 
 The wrapper stays in Python: it lays out the flat arrays (shared with
-the other engines via :func:`repro.routing.engine.flatten_legs`), calls
+the fast engine via :func:`repro.routing.engine.flatten_legs`), calls
 the kernel once, and converts the outputs.  No tracer hooks cross into
 the compiled region -- ``route.*`` spans and counters are emitted by the
 simulator around this call, so observability stays on the hoisted
@@ -38,19 +32,23 @@ import tempfile
 
 import numpy as np
 
-from repro.routing import kernel_py
 from repro.routing.engine import flatten_legs
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
 
 __all__ = [
+    "KERNEL_STATUS_OK",
+    "KERNEL_STATUS_OVERRUN",
     "EngineUnavailableError",
     "capability",
     "get_provider",
-    "provider_probed",
     "require_provider",
     "route_compiled",
 ]
+
+#: Kernel exit statuses, as ``_kernel.c`` reports them in ``out[0]``.
+KERNEL_STATUS_OK = 0
+KERNEL_STATUS_OVERRUN = 1  # hit max_ticks with packets still undelivered
 
 
 class EngineUnavailableError(RuntimeError):
@@ -59,21 +57,23 @@ class EngineUnavailableError(RuntimeError):
 
 # -- provider discovery --------------------------------------------------------
 #
-# A provider is ``(name, runner)`` where runner has the exact call
-# signature of kernel_py.tick_kernel and returns its 5-tuple
-# ``(status, total_time, max_queue, ticks_skipped, undelivered_left)``.
+# A provider is ``(name, runner)``: runner takes the kernel's arrays and
+# scalars (see _kernel.c) and returns its 5-tuple ``(status, total_time,
+# max_queue, ticks_skipped, undelivered_left)``.
 
 _cache: dict[str, tuple[str, object] | None] = {}
 _reasons: dict[str, str] = {}
 
 
 def _mode() -> str:
-    return os.environ.get("REPRO_COMPILED", "").strip().lower() or "auto"
+    """``off`` when ``REPRO_COMPILED=off`` hides the provider, else ``auto``."""
+    value = os.environ.get("REPRO_COMPILED", "").strip().lower()
+    return "off" if value == "off" else "auto"
 
 
 def _warmup(runner) -> None:
     """Route one packet across a two-node machine, exercising the
-    kernel end to end (and triggering the Numba compile, if any)."""
+    kernel end to end."""
     i64 = np.int64
     out = runner(
         np.array([0, 1], dtype=i64),  # leg_flat
@@ -104,21 +104,6 @@ def _warmup(runner) -> None:
     )
     if tuple(int(x) for x in out) != (0, 1, 1, 0, 0):
         raise AssertionError(f"kernel warmup produced {out!r}")
-
-
-def _try_numba():
-    try:
-        import numba
-    except ImportError:
-        _reasons["numba"] = "numba is not installed"
-        return None
-    try:
-        runner = numba.njit(cache=True, nogil=True)(kernel_py.tick_kernel)
-        _warmup(runner)
-    except Exception as exc:  # pragma: no cover - depends on toolchain
-        _reasons["numba"] = f"numba compilation failed: {exc}"
-        return None
-    return ("numba", runner)
 
 
 def _find_cc() -> str | None:
@@ -215,37 +200,23 @@ def _try_cext():
 
 
 def get_provider() -> tuple[str, object] | None:
-    """The first working provider under the current ``REPRO_COMPILED``
-    mode, or ``None``.  Memoized per mode; probing is side-effect-free
-    beyond the on-disk shared-object cache."""
+    """The C kernel provider, or ``None`` when it cannot be built or
+    ``REPRO_COMPILED=off`` hides it.  Memoized per mode; probing is
+    side-effect-free beyond the on-disk shared-object cache."""
     mode = _mode()
     if mode not in _cache:
         if mode == "off":
             _reasons["off"] = "disabled via REPRO_COMPILED=off"
             _cache[mode] = None
-        elif mode == "numba":
-            _cache[mode] = _try_numba()
-        elif mode == "cext":
-            _cache[mode] = _try_cext()
         else:
-            _cache[mode] = _try_numba() or _try_cext()
+            _cache[mode] = _try_cext()
     return _cache[mode]
 
 
-def provider_probed() -> bool:
-    """Whether :func:`get_provider` already ran under the current mode
-    (so consulting it again is free -- no JIT, no compiler launch)."""
-    return _mode() in _cache
-
-
 def _unavailable_reason() -> str:
-    mode = _mode()
-    if mode == "off":
+    if _mode() == "off":
         return _reasons["off"]
-    if mode in ("numba", "cext"):
-        return _reasons.get(mode, f"provider {mode!r} unavailable")
-    parts = [_reasons[k] for k in ("numba", "cext") if k in _reasons]
-    return "; ".join(parts) or "no compiled provider available"
+    return _reasons.get("cext", "no compiled provider available")
 
 
 def require_provider() -> tuple[str, object]:
@@ -315,23 +286,16 @@ def route_compiled(
     release_times: list[int],
     max_ticks: int,
     policy: str,
-    validate: bool = False,
-    runner=None,
 ) -> tuple[int, np.ndarray, dict[tuple[int, int], int], int, int]:
     """Route collapsed itineraries through the compiled kernel.
 
     Returns ``(total_time, delivery_times, edge_traffic, max_queue,
     ticks_skipped)``, the first four exactly as the reference engine
-    produces.  ``validate`` is accepted for signature parity but the
-    per-tick invariant assertions live only in the Python engines; the
-    equivalence suites pin this kernel to them instead.  ``runner``
-    overrides the provider -- the tests pass the *un-jitted*
-    :func:`~repro.routing.kernel_py.tick_kernel` through it to pin the
-    shared kernel algorithm on machines without Numba.
+    produces.  The per-tick invariant assertions of ``validate=True``
+    live only in the Python engines; the equivalence suites pin this
+    kernel to them instead.
     """
-    if runner is None:
-        runner = require_provider()[1]
-    del validate  # see docstring
+    runner = require_provider()[1]
 
     npkts = len(legs)
     csr = machine.csr_adjacency()
@@ -378,7 +342,7 @@ def route_compiled(
         0 if machine.port_limit is None else int(machine.port_limit),
         undelivered,
     )
-    if status == kernel_py.KERNEL_STATUS_OVERRUN:
+    if status == KERNEL_STATUS_OVERRUN:
         raise RuntimeError(
             f"routing did not finish in {max_ticks} ticks "
             f"({left} packets left)"

@@ -5,32 +5,33 @@ Tick-for-tick equivalent to the reference Python loop in
 traffic, same max queue depth -- but every per-tick step is a NumPy
 operation over flat arrays instead of a Python scan over dicts:
 
-* queue state is a packet -> directed-edge assignment vector plus a
-  per-link occupancy counter (no deques/heaps);
+* queue state is one array of packed ``(edge, priority, sequence)``
+  int64 keys kept sorted, plus a per-link occupancy counter (no
+  deques/heaps);
 * queue arbitration (FIFO insertion order, or farthest-first with
-  insertion-order ties) is a single int64 composite key per packet, so
-  picking each link's winner is one ``lexsort`` over waiting packets;
+  insertion-order ties) is the key order itself, so each link's winner
+  is the front of its block in the sorted array;
 * weak-machine port limits are resolved by ranking each node's occupied
   links by ``(-queue length, edge id)`` -- the same deterministic order
-  the reference uses -- with one more ``lexsort``;
+  the reference uses -- with one ``lexsort``;
 * next hops and priorities come from the machine-shared dense
   :class:`~repro.routing.tables.NextHopTables` matrices, so a tick costs
   O(waiting packets) vector work, independent of how many Python-level
   queue objects the reference would have scanned.
 
-The deterministic scan order both engines share is ascending directed
+The deterministic scan order every engine shares is ascending directed
 edge id, i.e. lexicographic ``(u, v)``; see docs/PERFORMANCE.md for the
 full determinism contract.
 
-:func:`route_many` stacks K *independent* runs over the same machine
-into one instance of that tick loop by offsetting run ``k``'s directed
-edge ids by ``k * num_edges``: queues of different runs can never
-collide, so one lexsort arbitrates every queue of every still-active
+:func:`route_many` routes K *independent* runs over the same machine in
+one instance of that tick loop by offsetting run ``k``'s directed edge
+ids by ``k * num_edges``: queues of different runs can never collide,
+so one sorted key array arbitrates every queue of every still-active
 run at once, and the per-tick NumPy dispatch overhead amortizes across
-the whole batch.  Per-run enqueue sequence counters, ``max_queue``
-maxima, and ``max_ticks`` budgets keep each run's observables
-bit-identical to routing it alone (see docs/PERFORMANCE.md, "The
-batched multi-run kernel").
+the whole batch.  A solo run is a one-run batch.  Per-run enqueue
+sequence counters, ``max_queue`` maxima, and ``max_ticks`` budgets keep
+each run's observables bit-identical to routing it alone (see
+docs/PERFORMANCE.md, "The batched multi-run kernel").
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ from repro.obs import trace as obs
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
 
-__all__ = ["flatten_legs", "group_releases", "route_fast", "route_many"]
+__all__ = ["KEY_BITS", "flatten_legs", "group_releases", "route_many"]
+
+#: Bit budget of the packed ``(virtual edge, priority, sequence)``
+#: waiting-set key: it must stay a non-negative int64 with headroom.
+KEY_BITS = 62
 
 
 def flatten_legs(
@@ -51,10 +56,9 @@ def flatten_legs(
 
     Returns ``(leg_flat, leg_ptr, leg_len, fin)``: the concatenated
     waypoint stream, the packet offsets into it, per-packet waypoint
-    counts, and each packet's final destination.  ``route_fast``, the
-    event engine, and the compiled kernels all index packet state
-    through this one layout, so itinerary semantics cannot drift
-    between them.
+    counts, and each packet's final destination.  :func:`route_many`
+    and the compiled kernel both index packet state through this one
+    layout, so itinerary semantics cannot drift between them.
     """
     npkts = len(legs)
     # Uniform-length itineraries (every shortest-path batch) take the
@@ -98,162 +102,6 @@ def group_releases(
     return pending
 
 
-def route_fast(
-    machine: Machine,
-    tables: NextHopTables,
-    legs: list[list[int]],
-    release_times: list[int],
-    max_ticks: int,
-    policy: str,
-    validate: bool = False,
-) -> tuple[int, np.ndarray, dict[tuple[int, int], int], int]:
-    """Route collapsed itineraries; returns (total_time, delivery_times,
-    edge_traffic, max_queue) exactly as the reference engine would."""
-    npkts = len(legs)
-    csr = machine.csr_adjacency()
-    dense = tables.ensure_dense()
-    dist, next_eid = dense.dist, dense.next_eid
-    edge_src, edge_dst = csr.edge_src, csr.edge_dst
-    num_edges = csr.num_directed_edges
-    port_limit = machine.port_limit
-    fifo = policy == "fifo"
-    n = machine.num_nodes
-    prio_base = np.int64(n) << 32  # priorities fit: distances < n < 2^31
-
-    # Flattened itineraries (the shared layout; see flatten_legs).
-    leg_flat, leg_ptr, leg_len, fin = flatten_legs(legs)
-
-    stage = np.ones(npkts, dtype=np.int64)
-    delivered = np.full(npkts, -1, dtype=np.int64)
-    edge = np.full(npkts, -1, dtype=np.int64)  # queue each packet waits in
-    comp = np.zeros(npkts, dtype=np.int64)  # arbitration key within queue
-    qlen = np.zeros(num_edges, dtype=np.int64)
-    traffic = np.zeros(num_edges, dtype=np.int64)
-    max_queue = 0
-    seq = 0  # global enqueue sequence (FIFO order / priority ties)
-
-    def enqueue(pids: np.ndarray, at_nodes: np.ndarray) -> None:
-        """Append packets to the queue of their next-hop link, in order."""
-        nonlocal seq, max_queue
-        target = leg_flat[leg_ptr[pids] + stage[pids]]
-        eids = next_eid[at_nodes, target].astype(np.int64)
-        edge[pids] = eids
-        seqs = np.arange(seq, seq + len(pids), dtype=np.int64)
-        seq += len(pids)
-        if fifo:
-            comp[pids] = seqs
-        else:
-            # (-remaining distance, seq) ascending == farthest-first with
-            # insertion-order ties, as one int64 composite.
-            rem = dist[at_nodes, fin[pids]].astype(np.int64)
-            comp[pids] = (prio_base - (rem << 32)) | seqs
-        np.add.at(qlen, eids, 1)
-        max_queue = max(max_queue, int(qlen[eids].max()))
-
-    # Injection bookkeeping: self-messages deliver instantly; release-0
-    # packets enqueue before the clock starts; the rest wait in `pending`.
-    release = np.asarray(release_times, dtype=np.int64)
-    is_self = (leg_len == 2) & (leg_flat[leg_ptr[:-1]] == fin)
-    delivered[is_self] = release[is_self]
-    travelling = np.nonzero(~is_self)[0]
-    undelivered = len(travelling)
-    now = travelling[release[travelling] == 0]
-    if len(now):
-        enqueue(now, leg_flat[leg_ptr[now]])
-    pending = group_releases(travelling, release)
-
-    tracer = obs.get_tracer()  # hoisted: the loop body must stay lean
-    tick = 0
-    while undelivered > 0:
-        tick += 1
-        if tracer is not None and tick % 1024 == 0:
-            tracer.event(
-                "route.progress",
-                engine="fast",
-                tick=tick,
-                undelivered=undelivered,
-                max_queue=max_queue,
-            )
-        injected = pending.pop(tick, None)
-        if injected is not None:
-            enqueue(injected, leg_flat[leg_ptr[injected]])
-        if tick > max_ticks:
-            raise RuntimeError(
-                f"routing did not finish in {max_ticks} ticks "
-                f"({undelivered} packets left)"
-            )
-        waiting = np.nonzero(edge >= 0)[0]
-        if not len(waiting):
-            continue  # everything in flight is awaiting injection
-
-        # Winner of each occupied link: first by arbitration key.
-        wedge = edge[waiting]
-        order = np.lexsort((comp[waiting], wedge))
-        sorted_pkts, sorted_edges = waiting[order], wedge[order]
-        head = np.empty(len(sorted_edges), dtype=bool)
-        head[0] = True
-        head[1:] = sorted_edges[1:] != sorted_edges[:-1]
-        movers, medges = sorted_pkts[head], sorted_edges[head]  # edge-id order
-
-        if port_limit is not None:
-            # Weak machine: each node serves its port_limit busiest links
-            # (ties by edge id == lexicographic (u, v)).
-            nodes = edge_src[medges].astype(np.int64)
-            rank_order = np.lexsort((medges, -qlen[medges], nodes))
-            nodes_sorted = nodes[rank_order]
-            group_start = np.empty(len(nodes_sorted), dtype=bool)
-            group_start[0] = True
-            group_start[1:] = nodes_sorted[1:] != nodes_sorted[:-1]
-            within = np.arange(len(nodes_sorted)) - np.maximum.accumulate(
-                np.where(group_start, np.arange(len(nodes_sorted)), 0)
-            )
-            keep = np.zeros(len(medges), dtype=bool)
-            keep[rank_order[within < port_limit]] = True
-            movers, medges = movers[keep], medges[keep]
-
-        if validate:
-            if len(np.unique(medges)) != len(medges):
-                raise AssertionError(
-                    f"tick {tick}: a directed link moved two packets"
-                )
-            if port_limit is not None and len(medges):
-                sends = np.bincount(edge_src[medges], minlength=n)
-                if sends.max() > port_limit:
-                    raise AssertionError(
-                        f"tick {tick}: a weak node drove {sends.max()} links"
-                    )
-
-        qlen[medges] -= 1
-        traffic[medges] += 1
-
-        # Arrivals, processed in ascending edge-id order (the shared
-        # deterministic scan order -- it fixes enqueue sequence numbers).
-        arrive = edge_dst[medges].astype(np.int64)
-        target = leg_flat[leg_ptr[movers] + stage[movers]]
-        at_last = stage[movers] == leg_len[movers] - 1
-        done = (arrive == fin[movers]) & at_last
-        advance = (arrive == target) & ~done
-        if advance.any():
-            stage[movers[advance]] += 1
-            adv_p = movers[advance]
-            done[advance] = (arrive[advance] == fin[adv_p]) & (
-                stage[adv_p] == leg_len[adv_p] - 1
-            )
-        if done.any():
-            done_p = movers[done]
-            delivered[done_p] = tick
-            edge[done_p] = -1
-            undelivered -= len(done_p)
-        if not done.all():
-            enqueue(movers[~done], arrive[~done])
-
-    nonzero = np.nonzero(traffic)[0]
-    edge_traffic = {
-        (int(edge_src[e]), int(edge_dst[e])): int(traffic[e]) for e in nonzero
-    }
-    return tick, delivered, edge_traffic, max_queue
-
-
 def route_many(
     machine: Machine,
     tables: NextHopTables,
@@ -263,11 +111,12 @@ def route_many(
 ) -> list[tuple[int, np.ndarray, dict[tuple[int, int], int], int]]:
     """Route K independent runs over one shared tick loop.
 
-    ``runs`` is a list of ``(legs, release_times, max_ticks)`` triples,
-    each exactly the per-run arguments :func:`route_fast` takes.  The
-    return value is one ``(total_time, delivery_times, edge_traffic,
-    max_queue)`` tuple per run, bit-identical to what :func:`route_fast`
-    would have produced for that run alone.
+    ``runs`` is a list of ``(legs, release_times, max_ticks)`` triples:
+    collapsed itineraries, per-packet release ticks and the tick budget
+    of one run each.  The return value is one ``(total_time,
+    delivery_times, edge_traffic, max_queue)`` tuple per run,
+    bit-identical to what the reference engine produces for that run
+    alone.  ``RoutingSimulator.route`` calls this with a one-run batch.
 
     Batching works because runs never share queues: run ``k`` lives on
     virtual directed edges ``local_eid + k * num_edges`` (and, for weak
@@ -279,8 +128,7 @@ def route_many(
     -- and therefore the exact FIFO / priority tie-break keys -- of its
     solo execution.
 
-    Unlike :func:`route_fast`, which lexsorts every waiting packet every
-    tick, this kernel maintains the waiting set as one array permanently
+    The kernel maintains the waiting set as one array permanently
     sorted by a packed ``(virtual edge, priority, sequence)`` int64 key:
     each tick appends only the newly enqueued packets and restores order
     with a stable sort of the nearly-sorted whole (timsort makes that a
@@ -288,6 +136,11 @@ def route_many(
     sizes equal to the queue-occupancy counters, every queue's winner is
     read off with one exclusive cumulative sum -- no per-tick lexsort of
     per-packet state at all.
+
+    The key must fit :data:`KEY_BITS`.  When a batch's key does not,
+    every run is routed as its own one-run batch (still bit-identical,
+    just not batched); a single run whose key does not fit raises
+    ``ValueError`` rather than wrapping.
     """
     K = len(runs)
     if K == 0:
@@ -309,7 +162,7 @@ def route_many(
     run_max_ticks = np.fromiter((r[2] for r in runs), dtype=np.int64, count=K)
 
     # Flattened itineraries, run-major: packet ids ascend with run id.
-    all_legs = [leg for r in runs for leg in r[0]]
+    all_legs = runs[0][0] if K == 1 else [leg for r in runs for leg in r[0]]
     if npkts == 0:
         return [(0, np.zeros(0, dtype=np.int64), {}, 0)] * K
     leg_flat, leg_ptr, leg_len, fin = flatten_legs(all_legs)
@@ -332,12 +185,16 @@ def route_many(
     seq_bits = max(total_hops, 1).bit_length()
     prio_bits = 0 if fifo else max(n - 1, 1).bit_length()
     edge_shift = seq_bits + prio_bits
-    if (K * num_edges - 1).bit_length() + edge_shift > 62:
-        # Key would overflow the packed int64 -- fall back to routing
-        # sequentially (still bit-identical, just not batched).
+    key_bits = (K * num_edges - 1).bit_length() + edge_shift
+    if key_bits > KEY_BITS:
+        if K == 1:
+            raise ValueError(
+                f"run too large for the fast engine: its queue key needs "
+                f"{key_bits} bits, more than {KEY_BITS}"
+            )
+        # Each run alone needs fewer edge and sequence bits.
         return [
-            route_fast(machine, tables, r[0], r[1], r[2], policy, validate)
-            for r in runs
+            route_many(machine, tables, [r], policy, validate)[0] for r in runs
         ]
     seq_bits64 = np.int64(seq_bits)
     edge_shift64 = np.int64(edge_shift)
@@ -414,7 +271,7 @@ def route_many(
                 keys = (eids << edge_shift64) | seqs
             else:
                 # Ascending (n-1-rem, seq) == farthest-first with
-                # insertion-order ties, matching route_fast's key order.
+                # insertion-order ties, as in the reference engine.
                 rem = dist[at_nodes, fin[pids]].astype(np.int64)
                 keys = (
                     (eids << edge_shift64)
@@ -431,7 +288,8 @@ def route_many(
         np.maximum(qpeak, qlen, out=qpeak)
         new_keys.append(keys)
 
-    # Injection bookkeeping, exactly as in route_fast but run-major.
+    # Injection bookkeeping: self-messages deliver instantly; release-0
+    # packets enqueue before the clock starts; the rest wait in `pending`.
     is_self = (leg_len == 2) & (leg_flat[leg_ptr[:-1]] == fin)
     delivered[is_self] = release[is_self]
     travelling = np.nonzero(~is_self)[0]
@@ -451,7 +309,7 @@ def route_many(
         if tracer is not None and tick % 1024 == 0:
             tracer.event(
                 "route.progress",
-                engine="batch",
+                engine="fast",
                 tick=tick,
                 undelivered=undelivered,
                 active_runs=int((run_undeliv > 0).sum()),
@@ -470,7 +328,7 @@ def route_many(
 
         # Merge the tick's new packets into the maintained sorted order.
         # Keys are unique, and a stable sort of an almost-sorted array is
-        # near-linear, so this replaces route_fast's per-tick lexsort.
+        # near-linear (timsort merges the appended run).
         if new_keys:
             candk = np.concatenate([okey, *new_keys])
             new_keys.clear()

@@ -69,11 +69,11 @@ def measure_bandwidth(
     and a batch of ``8 * n`` messages, which is deep enough to saturate
     the bottleneck links of every family in the registry while staying
     laptop-fast.  ``engine`` selects the simulator implementation
-    (any of ``"fast"``, ``"reference"``, ``"event"``, ``"compiled"``,
-    ``"auto"``; all give identical results -- see docs/PERFORMANCE.md
-    for when each wins).  ``workload`` names a registered scenario (a
-    :mod:`repro.workloads` key or built ``Workload``) as an alternative
-    to passing ``traffic`` directly; the two are mutually exclusive.
+    (any of :data:`~repro.routing.simulator.ENGINES`; all give identical
+    results -- see docs/PERFORMANCE.md for when each wins).
+    ``workload`` names a registered scenario (a :mod:`repro.workloads`
+    key or built ``Workload``) as an alternative to passing ``traffic``
+    directly; the two are mutually exclusive.
     """
     rng = rng_from_seed(seed)
     with obs.span(

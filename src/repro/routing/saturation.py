@@ -69,10 +69,9 @@ def saturation_sweep(
     drawn from ``traffic``, default symmetric); the run then drains.
     Delivered rate is measured over the injection window; latency is per
     packet (delivery - release).  ``engine`` selects the simulator
-    implementation (``"fast"``, ``"reference"``, ``"event"``,
-    ``"compiled"``, or ``"auto"``); low-rate sweeps are exactly the
-    idle-dominated regime where the event engine wins (see
-    docs/PERFORMANCE.md).
+    implementation (any of :data:`~repro.routing.simulator.ENGINES`);
+    low-rate sweeps are the idle-dominated regime where the compiled
+    kernel's empty-tick jumps win most (see docs/PERFORMANCE.md).
 
     The returned curve always has exactly one point per requested rate,
     in order: a rate whose Bernoulli draw injects zero packets yields an

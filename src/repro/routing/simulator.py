@@ -15,25 +15,22 @@ Packets carry an itinerary of waypoints (one for shortest-path routing,
 two for Valiant routing); between waypoints they follow the
 :class:`~repro.routing.tables.NextHopTables`.
 
-Four engines implement the model and produce identical results
+Three engines implement the model and produce identical results
 (delivery times, edge traffic, max queue) for the same inputs:
 
 * ``engine="reference"`` -- the pure-Python tick loop below, kept as the
   executable specification;
-* ``engine="fast"`` (the default) -- the vectorized array engine in
-  :mod:`repro.routing.engine`, ~10-100x faster on large batches;
-* ``engine="event"`` -- the event-driven scheduler in
-  :mod:`repro.routing.event`, which skips idle ticks outright and wins
-  on low-injection (idle-dominated) workloads;
-* ``engine="compiled"`` -- the native kernel in
-  :mod:`repro.routing.compiled` (Numba or a ctypes-built C shared
-  object); raises :class:`~repro.routing.compiled.EngineUnavailableError`
-  at construction when no provider works.
+* ``engine="fast"`` (the default) -- the batched vectorized kernel
+  :func:`~repro.routing.engine.route_many`, ~10-100x faster on large
+  batches; a solo run is a one-run batch;
+* ``engine="compiled"`` -- the ctypes-built C kernel in
+  :mod:`repro.routing.compiled`; raises
+  :class:`~repro.routing.compiled.EngineUnavailableError` at
+  construction when it cannot be built.
 
-``engine="auto"`` picks one per call from estimated occupancy: event
-below ~8 queued packets per tick, otherwise compiled when a provider is
-ready, otherwise fast.  It never raises on a missing toolchain -- that
-is the graceful-fallback path.
+``engine="auto"`` means compiled when a provider is ready, else fast.
+It never raises on a missing toolchain -- that is the graceful-fallback
+path.
 
 All engines scan occupied links in ascending ``(u, v)`` order each
 tick; that canonical order (not accidental dict order) is part of the
@@ -51,23 +48,15 @@ import numpy as np
 
 from repro.obs import trace as obs
 from repro.routing import compiled as compiled_backend
-from repro.routing.engine import route_fast, route_many
-from repro.routing.event import route_event
+from repro.routing.engine import route_many
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
 
-__all__ = ["RoutingResult", "RoutingSimulator"]
+__all__ = ["ENGINES", "RoutingResult", "RoutingSimulator"]
 
 _POLICIES = ("fifo", "farthest")
-_ENGINES = ("fast", "reference", "event", "compiled", "auto")
-
-#: ``auto`` switches from the event engine to a dense/compiled tick loop
-#: once the estimated queued-packets-per-tick crosses this.
-_AUTO_OCCUPANCY_CUTOFF = 8.0
-#: ``auto`` only probes the compiled toolchain (a possible one-off JIT or
-#: cc build) for workloads of at least this many hops; smaller ones use
-#: whatever the probe already found, or the fast engine.
-_AUTO_COMPILE_FLOOR = 32768
+#: Every ``engine=`` name; the CLI's ``--engine`` flags offer these.
+ENGINES = ("fast", "reference", "compiled", "auto")
 
 
 @dataclass
@@ -116,8 +105,8 @@ class RoutingSimulator:
     ):
         if policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if engine == "compiled":
             # Fail fast with the probe's reason; ``auto`` is the
             # never-raises fallback route.
@@ -158,59 +147,42 @@ class RoutingSimulator:
             itineraries, release_times, max_ticks
         )
 
-        resolved = self._resolve_engine(legs, release_times)
+        resolved = self._resolve_engine()
         with obs.span(
             f"route.{resolved}", policy=self.policy, packets=npkts
         ) as sp:
             skipped = None
-            if resolved == "fast":
-                total_time, delivered, edge_traffic, max_queue = route_fast(
-                    self.machine,
-                    self.tables,
-                    legs,
-                    release_times,
-                    max_ticks,
-                    self.policy,
-                    validate=self.validate,
-                )
-            elif resolved == "event":
-                total_time, delivered, edge_traffic, max_queue, skipped = (
-                    route_event(
-                        self.machine,
-                        self.tables,
-                        legs,
-                        release_times,
-                        max_ticks,
-                        self.policy,
-                        validate=self.validate,
-                    )
-                )
-            elif resolved == "compiled":
-                total_time, delivered, edge_traffic, max_queue, skipped = (
-                    compiled_backend.route_compiled(
-                        self.machine,
-                        self.tables,
-                        legs,
-                        release_times,
-                        max_ticks,
-                        self.policy,
-                        validate=self.validate,
-                    )
-                )
-            else:
+            if resolved == "reference":
                 result = self._route_reference(legs, release_times, max_ticks)
-                sp.set(ticks=result.total_time, max_queue=result.max_queue)
-                obs.add("route.calls")
-                obs.add("route.ticks", result.total_time)
-                obs.add("route.packets", npkts)
-                return result
-            result = RoutingResult(
-                total_time=total_time,
-                num_packets=npkts,
-                delivery_times=delivered,
-                edge_traffic=edge_traffic,
-                max_queue=max_queue,
-            )
+            else:
+                if resolved == "fast":
+                    [(total_time, delivered, edge_traffic, max_queue)] = (
+                        route_many(
+                            self.machine,
+                            self.tables,
+                            [(legs, release_times, max_ticks)],
+                            self.policy,
+                            validate=self.validate,
+                        )
+                    )
+                else:
+                    total_time, delivered, edge_traffic, max_queue, skipped = (
+                        compiled_backend.route_compiled(
+                            self.machine,
+                            self.tables,
+                            legs,
+                            release_times,
+                            max_ticks,
+                            self.policy,
+                        )
+                    )
+                result = RoutingResult(
+                    total_time=total_time,
+                    num_packets=npkts,
+                    delivery_times=delivered,
+                    edge_traffic=edge_traffic,
+                    max_queue=max_queue,
+                )
             sp.set(ticks=result.total_time, max_queue=result.max_queue)
             if skipped is not None:
                 sp.set(ticks_skipped=skipped)
@@ -221,33 +193,12 @@ class RoutingSimulator:
             obs.add("route.ticks_skipped", skipped)
         return result
 
-    def _resolve_engine(
-        self, legs: list[list[int]], release_times: list[int]
-    ) -> str:
-        """Pick the engine for one run (identity unless ``auto``).
-
-        The heuristic estimates *occupancy* -- queued packets per
-        simulated tick -- as total itinerary hops over the injection
-        horizon.  Idle-dominated runs (occupancy below
-        ``_AUTO_OCCUPANCY_CUTOFF``) go to the event engine, whose cost
-        scales with events, not ticks.  Busy runs use the compiled
-        kernel when a provider is ready; probing the toolchain (which
-        may JIT or invoke ``cc`` once per process) is only worth it for
-        workloads above ``_AUTO_COMPILE_FLOOR`` hops.  Everything else
-        -- and every machine without a toolchain -- falls back to the
-        fast vectorized engine, so ``auto`` never raises.
-        """
+    def _resolve_engine(self) -> str:
+        """The engine a call runs on: ``auto`` becomes ``compiled`` when
+        a provider is ready and ``fast`` otherwise, so it never raises."""
         if self.engine != "auto":
             return self.engine
-        hops = self.tables.itinerary_hops(legs)
-        horizon = max(release_times) + max(1, hops // max(1, len(legs)))
-        occupancy = hops / max(1, horizon)
-        if occupancy <= _AUTO_OCCUPANCY_CUTOFF:
-            return "event"
-        if hops >= _AUTO_COMPILE_FLOOR or compiled_backend.provider_probed():
-            if compiled_backend.get_provider() is not None:
-                return "compiled"
-        return "fast"
+        return "compiled" if compiled_backend.get_provider() else "fast"
 
     def route_batch(
         self,
@@ -262,16 +213,14 @@ class RoutingSimulator:
         ``release_times_list`` (optional) one release vector per run
         (``None`` entries mean all-zero releases); ``max_ticks`` is a
         single budget shared by every run, a per-run list, or ``None``
-        for the per-run hop-derived default.  On the fast engine all
-        runs share one vectorized tick loop (:func:`route_many`) keyed
-        by per-run virtual edge ids, so the per-tick dispatch overhead
-        amortizes across the batch; every other engine (reference,
-        event, compiled, auto) routes the runs sequentially through
-        :meth:`route`, which keeps the per-run results trivially
-        bit-identical (``auto`` re-resolves per run, so a sweep can mix
-        event-routed sparse points with compiled dense ones).  Either
-        way a run that would raise alone (exceeding its own
-        ``max_ticks``) raises here too.
+        for the per-run hop-derived default.  On the fast engine (and on
+        ``auto`` without a compiled provider) all runs share one
+        vectorized tick loop (:func:`route_many`) keyed by per-run
+        virtual edge ids, so the per-tick dispatch overhead amortizes
+        across the batch; the reference and compiled engines route the
+        runs sequentially through :meth:`route`, which keeps the per-run
+        results trivially bit-identical.  Either way a run that would
+        raise alone (exceeding its own ``max_ticks``) raises here too.
         """
         K = len(itineraries_list)
         if release_times_list is None:
@@ -297,7 +246,7 @@ class RoutingSimulator:
             runs=K,
             packets=total_packets,
         ) as sp:
-            if self.engine != "fast":
+            if self._resolve_engine() != "fast":
                 results = [
                     self.route(its, max_ticks=mt, release_times=rel)
                     for its, rel, mt in zip(

@@ -29,13 +29,14 @@ from repro.routing import (
     measure_bandwidth_many,
 )
 from repro.routing import compiled as compiled_backend
+from repro.routing import engine as fast_engine
 from repro.topologies import Machine, family_spec
 
 SMOKE_FAMILIES = ("mesh_2", "de_bruijn")
 SMOKE_POLICIES = ("fifo", "farthest")
 #: Engines whose route_batch must match their own solo route() -- and,
 #: transitively through the engine-equivalence suite, each other's.
-BATCH_ENGINES = ["event", "auto"] + (
+BATCH_ENGINES = ["auto"] + (
     ["compiled"] if compiled_backend.capability()["available"] else []
 )
 
@@ -159,7 +160,7 @@ class TestBatchEquivalenceExplicit:
     @pytest.mark.parametrize("engine", BATCH_ENGINES)
     @pytest.mark.parametrize("policy", SMOKE_POLICIES)
     def test_new_engines_batch_matches_solo(self, engine, policy):
-        """route_batch composes with the event/compiled/auto engines."""
+        """route_batch composes with the compiled and auto engines."""
         machine = family_spec("de_bruijn").build_with_size(16)
         rng = np.random.default_rng(13)
         n = machine.num_nodes
@@ -212,6 +213,53 @@ class TestBatchEquivalenceExplicit:
         with pytest.raises(RuntimeError) as batch_err:
             sim.route_batch([[[0, 2]], its], max_ticks=[None, 3])
         assert str(batch_err.value) == str(solo_err.value)
+
+    def test_key_overflow_routes_each_run_alone(self, monkeypatch):
+        """A batch whose packed queue key outgrows the bit budget routes
+        every run as its own one-run batch, still equal to solo route()."""
+        machine = family_spec("mesh_2").build_with_size(16)
+        rng = np.random.default_rng(17)
+        runs = []
+        for m in (12, 40, 25, 7):
+            pairs = rng.integers(0, 16, size=(m, 2))
+            rel = [int(t) for t in rng.choice([0, 0, 2, 6], size=m)]
+            runs.append(([[int(s), int(d)] for s, d in pairs], rel))
+        sim = RoutingSimulator(machine, policy="farthest", validate=True)
+
+        def solo():
+            return [sim.route(its, release_times=rel) for its, rel in runs]
+
+        expected = solo()
+        # Shrink the budget to the least every run fits in alone; the
+        # K-run batch needs wider edge and sequence fields than that.
+        bits = fast_engine.KEY_BITS
+        while True:
+            monkeypatch.setattr(fast_engine, "KEY_BITS", bits - 1)
+            try:
+                solo()
+            except ValueError:
+                break
+            bits -= 1
+        monkeypatch.setattr(fast_engine, "KEY_BITS", bits)
+        sizes = []
+        real = fast_engine.route_many
+
+        def spy(machine, tables, runs, *args, **kwargs):
+            sizes.append(len(runs))
+            return real(machine, tables, runs, *args, **kwargs)
+
+        monkeypatch.setattr(fast_engine, "route_many", spy)
+        batch = sim.route_batch(
+            [its for its, _ in runs], [rel for _, rel in runs]
+        )
+        assert sizes == [1] * len(runs)  # one fallback call per run
+        _assert_runs_equal(batch, expected, "key overflow")
+
+    def test_oversized_single_run_raises(self, monkeypatch):
+        machine = family_spec("mesh_2").build_with_size(16)
+        monkeypatch.setattr(fast_engine, "KEY_BITS", 8)
+        with pytest.raises(ValueError, match="more than 8"):
+            RoutingSimulator(machine).route([[0, 15], [3, 12]])
 
     def test_input_length_mismatches_rejected(self):
         machine = family_spec("mesh_2").build_with_size(16)

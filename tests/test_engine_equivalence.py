@@ -1,20 +1,17 @@
 """Engine equivalence: every routing engine vs the reference spec.
 
-The fast array engine, the event-driven scheduler, and the compiled
-kernel must reproduce the reference Python engine *exactly* -- same
-delivery times, same per-link traffic counts, same max queue depth,
-same operational bandwidth -- for every machine family, both arbitration
-policies, both port-limit modes, and any seed.  These tests sweep that
-grid at small n (every registry family), probe the itinerary edge cases
-(waypoints, staggered releases, self-messages), fuzz random
-(family, n, rate, seed) open-loop cells with Hypothesis, and pin the
-idle-heavy regime the event engine exists for (rate=0.01, >90% of
-ticks skipped, exposed via the ``route.ticks_skipped`` counter).
+The fast array engine and the compiled C kernel must reproduce the
+reference Python engine *exactly* -- same delivery times, same per-link
+traffic counts, same max queue depth, same operational bandwidth -- for
+every machine family, both arbitration policies, both port-limit modes,
+and any seed.  These tests sweep that grid at small n (every registry
+family), probe the itinerary edge cases (waypoints, staggered releases,
+self-messages), and fuzz random (family, n, rate, seed) open-loop cells
+with Hypothesis.
 
-When no compiled provider is available (no Numba, no C toolchain, or
-``REPRO_COMPILED=off``), the compiled *algorithm* is still pinned by
-running the Numba kernel source un-jitted through the same wrapper --
-so the fallback CI leg exercises every line the native backends run.
+The compiled engine joins every comparison when its provider is ready;
+CI also runs this file with ``REPRO_COMPILED=off``, the no-toolchain
+path on which ``auto`` must fall back to ``fast``.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from hypothesis import strategies as st
 
 from tests.hypothesis_profiles import SLOW
 
-from repro.obs import trace as obs
 from repro.routing import (
     EngineUnavailableError,
     RoutingSimulator,
@@ -34,8 +30,6 @@ from repro.routing import (
     valiant_route,
 )
 from repro.routing import compiled as compiled_backend
-from repro.routing import kernel_py
-from repro.routing.compiled import route_compiled
 from repro.routing.saturation import saturation_sweep
 from repro.topologies import all_family_keys, build_mesh, build_ring, family_spec
 from repro.traffic import symmetric_traffic
@@ -44,11 +38,11 @@ from repro.workloads import all_reduce_schedule, all_workload_keys, build_worklo
 POLICIES = ("fifo", "farthest")
 PORT_LIMITS = (None, 1)
 COMPILED_AVAILABLE = compiled_backend.capability()["available"]
+#: The named engines whole-pipeline comparisons run on.
+COMPARED = ("fast", "reference") + (("compiled",) if COMPILED_AVAILABLE else ())
 #: Every engine the grid sweeps against the reference.  ``auto`` rides
 #: along so its per-run resolution is proven harmless everywhere.
-ENGINES = ("fast", "event", "auto") + (
-    ("compiled",) if COMPILED_AVAILABLE else ()
-)
+ENGINES = ("fast", "auto") + (("compiled",) if COMPILED_AVAILABLE else ())
 
 
 def _assert_same(ref, got, tag):
@@ -69,35 +63,7 @@ def assert_engines_agree(machine, itineraries, release_times=None, policy="farth
             machine, policy=policy, engine=engine, validate=True
         ).route(itineraries, release_times=release_times)
         _assert_same(ref, got, engine)
-    if not COMPILED_AVAILABLE:
-        _assert_unjitted_kernel_matches(
-            machine, itineraries, release_times, policy, ref
-        )
     return ref
-
-
-def _assert_unjitted_kernel_matches(
-    machine, itineraries, release_times, policy, ref
-):
-    """Run the compiled kernel *algorithm* in plain Python (the exact
-    function Numba would jit) through the production wrapper."""
-    sim = RoutingSimulator(machine, policy=policy, engine="fast")
-    legs, release_times, max_ticks = sim._prepare(
-        itineraries, release_times, None
-    )
-    total, delivered, edge_traffic, max_queue, _ = route_compiled(
-        machine,
-        sim.tables,
-        legs,
-        release_times,
-        max_ticks,
-        policy,
-        runner=kernel_py.tick_kernel,
-    )
-    assert total == ref.total_time
-    assert np.array_equal(delivered, ref.delivery_times)
-    assert edge_traffic == ref.edge_traffic
-    assert max_queue == ref.max_queue
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -158,9 +124,7 @@ def test_invalid_engine_rejected():
         RoutingSimulator(build_ring(6), engine="warp")
 
 
-@pytest.mark.parametrize(
-    "engine", ["fast", "reference", "event"] + (["compiled"] if COMPILED_AVAILABLE else [])
-)
+@pytest.mark.parametrize("engine", COMPARED)
 def test_derived_max_ticks_fails_fast(engine):
     """The hop-derived default is tight: a run that can finish does, and
     an explicit too-small budget raises the same message everywhere."""
@@ -203,60 +167,6 @@ class TestHypothesisEngineCells:
         if not its:
             return
         assert_engines_agree(machine, its, release_times=rel, policy=policy)
-
-
-class TestEventEngineIdleHeavy:
-    def test_rate_001_skips_over_90_percent_of_ticks(self):
-        """The regime the event engine exists for: rate=0.01 open-loop
-        injection leaves almost every tick empty or lone-packet, and the
-        engine must cross them without simulating -- while remaining
-        bit-identical to the reference."""
-        machine = build_ring(6)
-        its, rel = _open_loop_workload(machine, 0.01, 4096, seed=7)
-        with obs.tracing(sink=obs.MemorySink()) as tracer:
-            res = RoutingSimulator(machine, engine="event").route(
-                its, release_times=rel
-            )
-            skipped = tracer.counters()["route.ticks_skipped"]
-        ref = RoutingSimulator(machine, engine="reference").route(
-            its, release_times=rel
-        )
-        _assert_same(ref, res, "idle-heavy")
-        assert skipped > 0.9 * res.total_time, (skipped, res.total_time)
-
-    def test_dense_workload_skips_only_the_drain_tail(self):
-        """With every packet released at tick 0 the network is busy
-        throughout; only the final lone-packet drain may fast-forward."""
-        machine = family_spec("mesh_2").build_with_size(16)
-        msgs = symmetric_traffic(16).sample_messages(64, seed=0)
-        with obs.tracing(sink=obs.MemorySink()) as tracer:
-            res = RoutingSimulator(machine, engine="event").route(
-                [[s, d] for s, d in msgs]
-            )
-            skipped = tracer.counters().get("route.ticks_skipped", 0)
-        assert skipped < 0.2 * res.total_time, (skipped, res.total_time)
-
-
-class TestCompiledKernelAlgorithm:
-    """Pin the exact function Numba compiles, independent of whether a
-    native provider exists on this machine."""
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("port_limit", PORT_LIMITS)
-    def test_unjitted_kernel_matches_reference(self, policy, port_limit):
-        machine = family_spec("de_bruijn").build_with_size(16)
-        machine.port_limit = port_limit
-        n = machine.num_nodes
-        rng = np.random.default_rng(5)
-        its = [
-            [int(s), int(d)]
-            for s, d in rng.integers(0, n, size=(3 * n, 2))
-        ]
-        rel = [int(t) for t in rng.choice([0, 0, 0, 2, 9], size=3 * n)]
-        ref = RoutingSimulator(
-            machine, policy=policy, engine="reference"
-        ).route(its, release_times=rel)
-        _assert_unjitted_kernel_matches(machine, its, rel, policy, ref)
 
 
 class TestCompiledFallback:
@@ -337,27 +247,25 @@ class TestWorkloadEquivalence:
                 engine=engine, workload="bursty",
                 workload_params={"on": 8, "off": 8},
             )
-            for engine in ("fast", "reference", "event")
+            for engine in COMPARED
         ]
-        assert runs[0] == runs[1] == runs[2]
+        assert all(run == runs[0] for run in runs)
 
 
 class TestAutoHeuristic:
-    def test_sparse_run_resolves_to_event(self):
-        machine = family_spec("mesh_2").build_with_size(16)
-        sim = RoutingSimulator(machine, engine="auto")
-        legs = [[0, 5], [3, 9], [2, 14], [1, 11]]
-        assert sim._resolve_engine(legs, [0, 500, 1000, 1500]) == "event"
-
     def test_dense_run_resolves_to_a_dense_engine(self):
         machine = family_spec("mesh_2").build_with_size(16)
         sim = RoutingSimulator(machine, engine="auto")
-        legs = [[i % 16, (i * 7 + 3) % 16] for i in range(400)]
-        resolved = sim._resolve_engine(legs, [0] * len(legs))
-        assert resolved in ("fast", "compiled")
+        assert sim._resolve_engine() in ("fast", "compiled")
+
+    @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="no compiled provider")
+    def test_auto_resolves_to_compiled_when_a_provider_is_ready(self):
+        machine = family_spec("mesh_2").build_with_size(16)
+        sim = RoutingSimulator(machine, engine="auto")
+        assert sim._resolve_engine() == "compiled"
 
     def test_non_auto_engines_resolve_to_themselves(self):
         machine = build_ring(8)
-        for engine in ("fast", "reference", "event"):
+        for engine in COMPARED:
             sim = RoutingSimulator(machine, engine=engine)
-            assert sim._resolve_engine([[0, 3]], [0]) == engine
+            assert sim._resolve_engine() == engine

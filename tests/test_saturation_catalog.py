@@ -11,12 +11,15 @@ from repro.routing import (
     saturation_bandwidth,
     saturation_sweep,
 )
+from repro.routing import compiled as compiled_backend
 from repro.theory import (
     catalog_consistency_violations,
     expander_gap_experiment,
     full_catalog,
 )
 from repro.topologies import build_de_bruijn, build_linear_array, build_mesh, build_ring
+
+COMPILED_AVAILABLE = compiled_backend.capability()["available"]
 
 
 class TestReleaseTimes:
@@ -139,10 +142,13 @@ class TestSaturation:
             )
         assert pts == expected
 
-    @pytest.mark.parametrize("engine", ["event", "auto", "reference"])
+    @pytest.mark.parametrize(
+        "engine",
+        ["auto", "reference"] + (["compiled"] if COMPILED_AVAILABLE else []),
+    )
     def test_sweep_engine_independent(self, engine):
-        """Low-rate sweeps are the event engine's home turf; the curve
-        must not depend on the engine that routed it."""
+        """Low-rate sweeps are mostly idle ticks, which the engines
+        handle differently; the curve must not depend on the engine."""
         machine = build_de_bruijn(5)
         kwargs = dict(
             rates=[0.01, 0.05, 0.4], duration=96, seed=3

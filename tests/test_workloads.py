@@ -20,6 +20,7 @@ from repro.harness import (
     SerialExecutor,
     run_sweep,
 )
+from repro.routing import compiled as compiled_backend
 from repro.routing import measure_bandwidth, saturation_sweep
 from repro.topologies import family_spec
 from repro.traffic import symmetric_traffic
@@ -33,6 +34,8 @@ from repro.workloads import (
     scale_free_traffic,
     workload_spec,
 )
+
+COMPILED_AVAILABLE = compiled_backend.capability()["available"]
 
 
 class TestRegistry:
@@ -146,7 +149,7 @@ class TestCollectives:
     def test_all_reduce_time_engine_independent(self, kind):
         machine = family_spec("fat_tree").build_with_size(36)
         ref = all_reduce_time(machine, kind, engine="reference")
-        for engine in ("fast", "event"):
+        for engine in ("fast",) + (("compiled",) if COMPILED_AVAILABLE else ()):
             got = all_reduce_time(machine, kind, engine=engine)
             assert got == ref
 
