@@ -35,6 +35,7 @@ from repro.harness import (
     expand_grid,
     run_sweep,
 )
+from repro.routing import DEFAULT_ENGINE
 from repro.service.app import QueryService
 from repro.util import format_table
 
@@ -50,9 +51,7 @@ LOOKUPS = 200
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_harness.json"
 
-SNAPPED_QUERY = {
-    "family": "de_bruijn", "size": "256", "seed": "0", "engine": "fast"
-}
+SNAPPED_QUERY = {"family": "de_bruijn", "size": "256", "seed": "0"}
 
 
 def _time_lookups(getter, hashes) -> float:
@@ -70,8 +69,8 @@ def _time_lookups(getter, hashes) -> float:
 def test_fabric_scaling_and_snapshot_latency():
     # engine is pinned in the base spec so each cell's content hash
     # matches what the service computes for the same query (its schema
-    # defaults engine=fast into the spec).
-    jobs = expand_grid("measure_bandwidth", AXES, {"engine": "fast"})
+    # writes the default engine into the spec).
+    jobs = expand_grid("measure_bandwidth", AXES, {"engine": DEFAULT_ENGINE})
     serial = run_sweep(jobs, executor=SerialExecutor())
     assert serial.ok, serial.errors()
 

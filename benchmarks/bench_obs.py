@@ -31,6 +31,7 @@ from conftest import emit
 from repro.obs import MemorySink, build_report
 from repro.obs import trace as obs
 from repro.routing import measure_bandwidth
+from repro.routing.compiled import capability
 from repro.topologies.registry import family_spec
 from repro.util import format_table
 
@@ -81,7 +82,8 @@ def _count_hook_calls() -> dict[str, int]:
         machine = family_spec(FAMILY).build_with_size(SIZE)
         measure_bandwidth(machine, num_messages=NUM_MESSAGES, seed=SEED)
     report = build_report(sink.events)
-    route_node = report.find("measure_bandwidth", "route.fast")
+    engine = "compiled" if capability()["available"] else "fast"
+    route_node = report.find("measure_bandwidth", f"route.{engine}")
     assert route_node is not None, report.render()
     route_calls = route_node.count
     # the simulator fires three counters (calls/ticks/packets) per route

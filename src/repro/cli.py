@@ -40,6 +40,7 @@ from repro.bandwidth import beta_bracket, beta_value
 from repro.emulation import Emulator
 from repro.experiments import replicate
 from repro.routing import (
+    DEFAULT_ENGINE,
     ENGINES,
     EngineUnavailableError,
     measure_bandwidth,
@@ -774,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     bw.add_argument(
         "--engine",
         choices=ENGINES,
-        default="fast",
+        default=DEFAULT_ENGINE,
         help="simulator engine (all give identical results; "
         "see docs/PERFORMANCE.md for when each wins)",
     )
@@ -793,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     sat.add_argument(
         "--engine",
         choices=ENGINES,
-        default="fast",
+        default=DEFAULT_ENGINE,
         help="simulator engine (all give identical results; "
         "see docs/PERFORMANCE.md for when each wins)",
     )
@@ -972,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     snb.add_argument(
         "--engine",
         choices=ENGINES,
-        default="fast",
+        default=DEFAULT_ENGINE,
         help="simulator engine for the bandwidth cells",
     )
     snb.add_argument(

@@ -25,13 +25,19 @@ from repro.routing.saturation import (
     saturation_bandwidth,
     saturation_sweep,
 )
-from repro.routing.simulator import ENGINES, RoutingResult, RoutingSimulator
+from repro.routing.simulator import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    RoutingResult,
+    RoutingSimulator,
+)
 from repro.routing.stats import LinkStats, link_stats
 from repro.routing.strategies import shortest_path_route, valiant_route
 from repro.routing.tables import NextHopTables
 
 __all__ = [
     "BandwidthMeasurement",
+    "DEFAULT_ENGINE",
     "DimensionOrderRouter",
     "ENGINES",
     "EngineUnavailableError",

@@ -5,17 +5,21 @@
  * keyed by a hash of this source, and calls it through ctypes -- no
  * Python.h, no build-time dependency beyond a C toolchain.
  *
- * Data layout (all int64, caller-allocated): itineraries use the flat
- * layout of repro.routing.engine.flatten_legs (waypoint stream leg_flat,
- * per-packet offsets leg_ptr, final destinations fin); the per-(node,
- * dest) dist/next_eid matrices are flattened row-major; each directed
+ * Data layout (caller-allocated; int64 except the two tables):
+ * itineraries use the flat layout of repro.routing.engine.flatten_legs
+ * (waypoint stream leg_flat, per-packet offsets leg_ptr, final
+ * destinations fin); the per-(node, dest) dist/next_eid matrices are the
+ * dense int32 tables of repro.routing.tables, row-major; each directed
  * edge's queue is an intrusive linked list threaded through qnext
- * (packet id -> next packet id) with head table qhead and occupancy
- * qlen.  The queue winner is the minimum of the arbitration key pkey --
- * ((n << 32) - (remaining << 32)) | seq for farthest-first, bare seq for
- * FIFO -- so a pop scans its queue's list.  When nothing is queued the
- * clock jumps to the next release tick; the jumped ticks are reported
- * as ticks_skipped.
+ * (packet id -> next packet id) with head and tail tables qhead/qtail
+ * and occupancy qlen.  The queue winner is the packet with the least
+ * arbitration key: its enqueue sequence number seq under FIFO, and
+ * pkey = ((n << 32) - (remaining << 32)) | seq under farthest-first.
+ * Packets append at the tail and seq only grows, so every list is in
+ * seq order: a FIFO pop takes the head in O(1), and a farthest-first
+ * pop scans its queue's list for the least pkey.
+ * When nothing is queued the clock jumps to the next release tick; the
+ * jumped ticks are reported as ticks_skipped.
  *
  * Results land in out[5] = {status, total_time, max_queue,
  * ticks_skipped, undelivered_left}; status 1 means the tick budget was
@@ -28,13 +32,56 @@
 #define STATUS_OK 0
 #define STATUS_OVERRUN 1
 
+/* Append pid at the tail of edge eid's queue; returns the new length. */
+static inline int64_t push(
+    int64_t *qnext, int64_t *qhead, int64_t *qtail, int64_t *qlen,
+    int64_t eid, int64_t pid)
+{
+    qnext[pid] = -1;
+    if (qhead[eid] == -1)
+        qhead[eid] = pid;
+    else
+        qnext[qtail[eid]] = pid;
+    qtail[eid] = pid;
+    return ++qlen[eid];
+}
+
+/* Unlink and return the minimum-key packet of edge eid's (non-empty)
+ * queue: the head under FIFO, found by a scan under farthest-first. */
+static inline int64_t pop(
+    const int64_t *pkey, int64_t *qnext, int64_t *qhead, int64_t *qtail,
+    int64_t *qlen, int64_t eid, int64_t fifo)
+{
+    int64_t best = qhead[eid];
+    int64_t bestprev = -1;
+    if (fifo == 0) {
+        int64_t prev = best;
+        for (int64_t cur = qnext[best]; cur != -1; cur = qnext[cur]) {
+            if (pkey[cur] < pkey[best]) {
+                best = cur;
+                bestprev = prev;
+            }
+            prev = cur;
+        }
+    }
+    if (bestprev == -1)
+        qhead[eid] = qnext[best];
+    else
+        qnext[bestprev] = qnext[best];
+    if (qtail[eid] == best)
+        qtail[eid] = bestprev;
+    qnext[best] = -1;
+    qlen[eid] -= 1;
+    return best;
+}
+
 void route_kernel(
     const int64_t *leg_flat,
     const int64_t *leg_ptr,
     const int64_t *fin,
     int64_t *stage,
-    const int64_t *dist,
-    const int64_t *next_eid,
+    const int32_t *dist,
+    const int32_t *next_eid,
     const int64_t *edge_dst,
     const int64_t *indptr,
     const int64_t *inj_pids,
@@ -43,6 +90,7 @@ void route_kernel(
     int64_t *pkey,
     int64_t *qnext,
     int64_t *qhead,
+    int64_t *qtail,
     int64_t *qlen,
     int64_t *mpid,
     int64_t *meid,
@@ -71,17 +119,13 @@ void route_kernel(
         int64_t u = leg_flat[leg_ptr[pid]];
         int64_t target = leg_flat[leg_ptr[pid] + stage[pid]];
         int64_t eid = next_eid[u * n + target];
-        if (fifo != 0)
-            pkey[pid] = seq;
-        else
-            pkey[pid] = (prio_base - (dist[u * n + fin[pid]] << 32)) | seq;
+        if (fifo == 0)
+            pkey[pid] = (prio_base - ((int64_t)dist[u * n + fin[pid]] << 32)) | seq;
         seq += 1;
-        qnext[pid] = qhead[eid];
-        qhead[eid] = pid;
-        qlen[eid] += 1;
+        int64_t len = push(qnext, qhead, qtail, qlen, eid, pid);
         waiting += 1;
-        if (qlen[eid] > max_queue)
-            max_queue = qlen[eid];
+        if (len > max_queue)
+            max_queue = len;
         iptr += 1;
     }
 
@@ -103,17 +147,13 @@ void route_kernel(
             int64_t u = leg_flat[leg_ptr[pid]];
             int64_t target = leg_flat[leg_ptr[pid] + stage[pid]];
             int64_t eid = next_eid[u * n + target];
-            if (fifo != 0)
-                pkey[pid] = seq;
-            else
-                pkey[pid] = (prio_base - (dist[u * n + fin[pid]] << 32)) | seq;
+            if (fifo == 0)
+                pkey[pid] = (prio_base - ((int64_t)dist[u * n + fin[pid]] << 32)) | seq;
             seq += 1;
-            qnext[pid] = qhead[eid];
-            qhead[eid] = pid;
-            qlen[eid] += 1;
+            int64_t len = push(qnext, qhead, qtail, qlen, eid, pid);
             waiting += 1;
-            if (qlen[eid] > max_queue)
-                max_queue = qlen[eid];
+            if (len > max_queue)
+                max_queue = len;
             iptr += 1;
         }
         if (tick > max_ticks) {
@@ -131,27 +171,7 @@ void route_kernel(
             for (int64_t eid = 0; eid < num_edges; eid++) {
                 if (qlen[eid] == 0)
                     continue;
-                /* Pop the queue's minimum arbitration key. */
-                int64_t best = qhead[eid];
-                int64_t bestprev = -1;
-                int64_t prev = best;
-                int64_t cur = qnext[best];
-                while (cur != -1) {
-                    if (pkey[cur] < pkey[best]) {
-                        best = cur;
-                        bestprev = prev;
-                    }
-                    prev = cur;
-                    cur = qnext[cur];
-                }
-                if (bestprev == -1)
-                    qhead[eid] = qnext[best];
-                else
-                    qnext[bestprev] = qnext[best];
-                qnext[best] = -1;
-                qlen[eid] -= 1;
-                waiting -= 1;
-                mpid[nmoves] = best;
+                mpid[nmoves] = pop(pkey, qnext, qhead, qtail, qlen, eid, fifo);
                 meid[nmoves] = eid;
                 nmoves += 1;
             }
@@ -198,31 +218,13 @@ void route_kernel(
                     }
                     if (!picked)
                         continue;
-                    int64_t best = qhead[eid];
-                    int64_t bestprev = -1;
-                    int64_t prev = best;
-                    int64_t cur = qnext[best];
-                    while (cur != -1) {
-                        if (pkey[cur] < pkey[best]) {
-                            best = cur;
-                            bestprev = prev;
-                        }
-                        prev = cur;
-                        cur = qnext[cur];
-                    }
-                    if (bestprev == -1)
-                        qhead[eid] = qnext[best];
-                    else
-                        qnext[bestprev] = qnext[best];
-                    qnext[best] = -1;
-                    qlen[eid] -= 1;
-                    waiting -= 1;
-                    mpid[nmoves] = best;
+                    mpid[nmoves] = pop(pkey, qnext, qhead, qtail, qlen, eid, fifo);
                     meid[nmoves] = eid;
                     nmoves += 1;
                 }
             }
         }
+        waiting -= nmoves;
 
         /* -- arrivals, in the same ascending edge-id order ------------ */
         for (int64_t i = 0; i < nmoves; i++) {
@@ -246,17 +248,13 @@ void route_kernel(
             }
             int64_t target = leg_flat[lp + stage[pid]];
             int64_t eid2 = next_eid[v * n + target];
-            if (fifo != 0)
-                pkey[pid] = seq;
-            else
-                pkey[pid] = (prio_base - (dist[v * n + fin[pid]] << 32)) | seq;
+            if (fifo == 0)
+                pkey[pid] = (prio_base - ((int64_t)dist[v * n + fin[pid]] << 32)) | seq;
             seq += 1;
-            qnext[pid] = qhead[eid2];
-            qhead[eid2] = pid;
-            qlen[eid2] += 1;
+            int64_t len = push(qnext, qhead, qtail, qlen, eid2, pid);
             waiting += 1;
-            if (qlen[eid2] > max_queue)
-                max_queue = qlen[eid2];
+            if (len > max_queue)
+                max_queue = len;
         }
     }
 

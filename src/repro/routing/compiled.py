@@ -74,14 +74,14 @@ def _mode() -> str:
 def _warmup(runner) -> None:
     """Route one packet across a two-node machine, exercising the
     kernel end to end."""
-    i64 = np.int64
+    i32, i64 = np.int32, np.int64
     out = runner(
         np.array([0, 1], dtype=i64),  # leg_flat
         np.array([0, 2], dtype=i64),  # leg_ptr
         np.array([1], dtype=i64),  # fin
         np.array([1], dtype=i64),  # stage
-        np.array([0, 1, 1, 0], dtype=i64),  # dist (2x2)
-        np.array([0, 0, 1, 0], dtype=i64),  # next_eid (2x2)
+        np.array([0, 1, 1, 0], dtype=i32),  # dist (2x2)
+        np.array([0, 0, 1, 0], dtype=i32),  # next_eid (2x2)
         np.array([1, 0], dtype=i64),  # edge_dst
         np.array([0, 1, 2], dtype=i64),  # indptr
         np.array([0], dtype=i64),  # inj_pids
@@ -89,6 +89,7 @@ def _warmup(runner) -> None:
         np.zeros(1, dtype=i64),  # pkey
         np.full(1, -1, dtype=i64),  # qnext
         np.full(2, -1, dtype=i64),  # qhead
+        np.full(2, -1, dtype=i64),  # qtail
         np.zeros(2, dtype=i64),  # qlen
         np.zeros(2, dtype=i64),  # mpid
         np.zeros(2, dtype=i64),  # meid
@@ -164,18 +165,19 @@ def _try_cext():
         return None
     fn = lib.route_kernel
     fn.restype = None
-    # All pointers are int64 array data; scalars are int64.  Passing raw
-    # .ctypes.data keeps the hot path free of per-call ndpointer checks.
+    # Pointers are int64 array data (int32 for the dist/next_eid tables);
+    # scalars are int64.  Passing raw .ctypes.data keeps the hot path free
+    # of per-call ndpointer checks.
     p, s = ctypes.c_void_p, ctypes.c_int64
     fn.argtypes = (
-        [p] * 10 + [s] + [p] * 9 + [s] * 6 + [p]
+        [p] * 10 + [s] + [p] * 10 + [s] * 6 + [p]
     )
 
     def runner(
         leg_flat, leg_ptr, fin, stage, dist, next_eid, edge_dst, indptr,
-        inj_pids, inj_times, pkey, qnext, qhead, qlen, mpid, meid, selbuf,
-        delivered, traffic, n, num_edges, max_ticks, fifo, port_limit,
-        undelivered,
+        inj_pids, inj_times, pkey, qnext, qhead, qtail, qlen, mpid, meid,
+        selbuf, delivered, traffic, n, num_edges, max_ticks, fifo,
+        port_limit, undelivered,
     ):
         out = np.zeros(5, dtype=np.int64)
         fn(
@@ -184,7 +186,8 @@ def _try_cext():
             edge_dst.ctypes.data, indptr.ctypes.data,
             inj_pids.ctypes.data, inj_times.ctypes.data, len(inj_pids),
             pkey.ctypes.data, qnext.ctypes.data, qhead.ctypes.data,
-            qlen.ctypes.data, mpid.ctypes.data, meid.ctypes.data,
+            qtail.ctypes.data, qlen.ctypes.data, mpid.ctypes.data,
+            meid.ctypes.data,
             selbuf.ctypes.data, delivered.ctypes.data, traffic.ctypes.data,
             n, num_edges, max_ticks, fifo, port_limit, undelivered,
             out.ctypes.data,
@@ -260,17 +263,16 @@ def _reset_provider_cache() -> None:
 
 def _kernel_layout(machine: Machine, tables: NextHopTables):
     """Machine-shaped kernel inputs, cached on the (machine-shared)
-    tables object: flattened int64 dist/next_eid plus int64 CSR views.
-    Converting the dense int32 matrices is O(n^2), so paying it once per
-    machine keeps the per-route cost O(packets + events)."""
+    tables object: the dense int32 dist/next_eid matrices as the kernel
+    reads them (row-major, no copy) plus int64 CSR views."""
     cached = getattr(tables, "_kernel_layout", None)
     if cached is None:
         csr = machine.csr_adjacency()
         dense = tables.ensure_dense()
         degrees = np.diff(csr.indptr)
         cached = (
-            np.ascontiguousarray(dense.dist, dtype=np.int64).ravel(),
-            np.ascontiguousarray(dense.next_eid, dtype=np.int64).ravel(),
+            np.ascontiguousarray(dense.dist, dtype=np.int32),
+            np.ascontiguousarray(dense.next_eid, dtype=np.int32),
             np.ascontiguousarray(csr.edge_dst, dtype=np.int64),
             np.ascontiguousarray(csr.indptr, dtype=np.int64),
             int(degrees.max()) if len(degrees) else 0,
@@ -324,6 +326,7 @@ def route_compiled(
     pkey = np.zeros(npkts, dtype=np.int64)
     qnext = np.full(npkts, -1, dtype=np.int64)
     qhead = np.full(num_edges, -1, dtype=np.int64)
+    qtail = np.full(num_edges, -1, dtype=np.int64)
     qlen = np.zeros(num_edges, dtype=np.int64)
     scratch = max(num_edges, 1)
     mpid = np.empty(scratch, dtype=np.int64)
@@ -335,7 +338,7 @@ def route_compiled(
         leg_flat, leg_ptr, fin, stage,
         dist, next_eid, edge_dst, indptr,
         inj_pids, inj_times,
-        pkey, qnext, qhead, qlen, mpid, meid, selbuf,
+        pkey, qnext, qhead, qtail, qlen, mpid, meid, selbuf,
         delivered, traffic,
         n, num_edges, int(max_ticks),
         1 if policy == "fifo" else 0,

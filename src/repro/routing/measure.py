@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import trace as obs
-from repro.routing.simulator import RoutingResult, RoutingSimulator
+from repro.routing.simulator import DEFAULT_ENGINE, RoutingResult, RoutingSimulator
 from repro.routing.dimension_order import dimension_order_route
 from repro.routing.strategies import shortest_path_route, valiant_route
 from repro.topologies.base import Machine
@@ -59,7 +59,7 @@ def measure_bandwidth(
     strategy: str = "shortest",
     policy: str = "farthest",
     seed: int | np.random.Generator | None = None,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     workload=None,
     workload_params: dict | None = None,
 ) -> BandwidthMeasurement:
@@ -162,7 +162,7 @@ def measure_bandwidth_many(
     num_messages: int | None = None,
     strategy: str = "shortest",
     policy: str = "farthest",
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     workload=None,
     workload_params: dict | None = None,
 ) -> list[BandwidthMeasurement]:
@@ -219,7 +219,7 @@ def measure_bandwidth_job(spec: dict) -> dict:
     :mod:`repro.harness.jobs`): ``family`` is required; ``size`` (256),
     ``strategy`` (``"shortest"``), ``policy`` (``"farthest"``),
     ``num_messages`` (the ``8n`` default), ``seed`` (0) and ``engine``
-    (``"fast"``) are optional, as are ``workload`` (a scenario key,
+    (``"auto"``) are optional, as are ``workload`` (a scenario key,
     default symmetric) and ``workload_params`` -- both omitted from the
     spec (and hence the content hash) when unused, so pre-workload cache
     entries stay valid.  Returns a JSON-serializable dict; given the
@@ -234,7 +234,7 @@ def measure_bandwidth_job(spec: dict) -> dict:
         strategy=spec.get("strategy", "shortest"),
         policy=spec.get("policy", "farthest"),
         seed=int(spec.get("seed", 0)),
-        engine=spec.get("engine", "fast"),
+        engine=spec.get("engine", DEFAULT_ENGINE),
         workload=spec.get("workload"),
         workload_params=spec.get("workload_params"),
     )
@@ -261,7 +261,7 @@ def measure_bandwidth_batch_job(spec: dict) -> dict:
     Registered as the ``measure_bandwidth_batch`` alias: ``family`` is
     required; ``size`` (256), ``strategy`` (``"shortest"``), ``policy``
     (``"farthest"``), ``num_messages`` (the ``8n`` default),
-    ``replicates`` (8), ``base_seed`` (0), ``engine`` (``"fast"``) and
+    ``replicates`` (8), ``base_seed`` (0), ``engine`` (``"auto"``) and
     ``batch`` (1) are optional.  ``batch=0`` runs the seeds through
     sequential :func:`measure_bandwidth` calls instead of the batched
     kernel; both paths return bit-identical values, so the knob only
@@ -280,7 +280,7 @@ def measure_bandwidth_batch_job(spec: dict) -> dict:
         num_messages=spec.get("num_messages"),
         strategy=spec.get("strategy", "shortest"),
         policy=spec.get("policy", "farthest"),
-        engine=spec.get("engine", "fast"),
+        engine=spec.get("engine", DEFAULT_ENGINE),
         workload=spec.get("workload"),
         workload_params=spec.get("workload_params"),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.obs import trace as obs
 from repro.routing.measure import resolve_traffic
-from repro.routing.simulator import RoutingSimulator
+from repro.routing.simulator import DEFAULT_ENGINE, RoutingSimulator
 from repro.topologies.base import Machine
 from repro.traffic.distribution import TrafficDistribution
 from repro.util import check_positive_int, rng_from_seed
@@ -58,7 +58,7 @@ def saturation_sweep(
     traffic: TrafficDistribution | None = None,
     policy: str = "fifo",
     seed: int | np.random.Generator | None = None,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     workload=None,
     workload_params: dict | None = None,
 ) -> list[SaturationPoint]:
@@ -162,7 +162,7 @@ def saturation_bandwidth(
     rates: list[float] | None = None,
     duration: int = 128,
     seed: int | np.random.Generator | None = None,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> float:
     """The plateau of the delivered-rate curve: an operational beta."""
     points = saturation_sweep(
@@ -179,7 +179,7 @@ def saturation_sweep_job(spec: dict) -> dict:
     Registered as the ``saturation_sweep`` alias: ``family`` is
     required; ``size`` (64), ``rates`` (the default ladder),
     ``duration`` (128), ``policy`` (``"fifo"``), ``seed`` (0) and
-    ``engine`` (``"fast"``) are optional, as are ``workload`` (scenario
+    ``engine`` (``"auto"``) are optional, as are ``workload`` (scenario
     key, default symmetric) and ``workload_params`` -- both omitted from
     the spec (and hence the content hash) when unused, so pre-workload
     cache entries stay valid.  Each measured point becomes one dict so
@@ -194,7 +194,7 @@ def saturation_sweep_job(spec: dict) -> dict:
         duration=int(spec.get("duration", 128)),
         policy=spec.get("policy", "fifo"),
         seed=int(spec.get("seed", 0)),
-        engine=spec.get("engine", "fast"),
+        engine=spec.get("engine", DEFAULT_ENGINE),
         workload=spec.get("workload"),
         workload_params=spec.get("workload_params"),
     )

@@ -20,17 +20,19 @@ Three engines implement the model and produce identical results
 
 * ``engine="reference"`` -- the pure-Python tick loop below, kept as the
   executable specification;
-* ``engine="fast"`` (the default) -- the batched vectorized kernel
-  :func:`~repro.routing.engine.route_many`, ~10-100x faster on large
-  batches; a solo run is a one-run batch;
+* ``engine="fast"`` -- the batched vectorized kernel
+  :func:`~repro.routing.engine.route_many`, ~10-100x faster than the
+  reference on large batches; a solo run is a one-run batch;
 * ``engine="compiled"`` -- the ctypes-built C kernel in
-  :mod:`repro.routing.compiled`; raises
+  :mod:`repro.routing.compiled`, ~2-10x faster again; raises
   :class:`~repro.routing.compiled.EngineUnavailableError` at
   construction when it cannot be built.
 
-``engine="auto"`` means compiled when a provider is ready, else fast.
-It never raises on a missing toolchain -- that is the graceful-fallback
-path.
+``engine="auto"`` (the default, :data:`DEFAULT_ENGINE`) means compiled
+when a provider is ready, else fast.  It never raises on a missing
+toolchain -- that is the graceful-fallback path.  The per-tick invariant
+checks of ``validate=True`` live only in the Python engines, so ``auto``
+resolves to fast under validation and ``compiled`` refuses it.
 
 All engines scan occupied links in ascending ``(u, v)`` order each
 tick; that canonical order (not accidental dict order) is part of the
@@ -52,11 +54,14 @@ from repro.routing.engine import route_many
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
 
-__all__ = ["ENGINES", "RoutingResult", "RoutingSimulator"]
+__all__ = ["DEFAULT_ENGINE", "ENGINES", "RoutingResult", "RoutingSimulator"]
 
 _POLICIES = ("fifo", "farthest")
 #: Every ``engine=`` name; the CLI's ``--engine`` flags offer these.
 ENGINES = ("fast", "reference", "compiled", "auto")
+#: The engine every default path routes on: the C kernel when it
+#: builds, else the batched numpy kernel.
+DEFAULT_ENGINE = "auto"
 
 
 @dataclass
@@ -101,13 +106,19 @@ class RoutingSimulator:
         machine: Machine,
         policy: str = "farthest",
         validate: bool = False,
-        engine: str = "fast",
+        engine: str = DEFAULT_ENGINE,
     ):
         if policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if engine == "compiled":
+            if validate:
+                raise ValueError(
+                    "validate=True needs a Python engine: the compiled "
+                    "kernel has no per-tick invariant checks (use "
+                    "engine='fast')"
+                )
             # Fail fast with the probe's reason; ``auto`` is the
             # never-raises fallback route.
             compiled_backend.require_provider()
@@ -195,10 +206,14 @@ class RoutingSimulator:
 
     def _resolve_engine(self) -> str:
         """The engine a call runs on: ``auto`` becomes ``compiled`` when
-        a provider is ready and ``fast`` otherwise, so it never raises."""
+        a provider is ready and ``fast`` otherwise, so it never raises;
+        under ``validate`` it is always ``fast``, which checks the
+        invariants."""
         if self.engine != "auto":
             return self.engine
-        return "compiled" if compiled_backend.get_provider() else "fast"
+        if self.validate or not compiled_backend.get_provider():
+            return "fast"
+        return "compiled"
 
     def route_batch(
         self,
@@ -214,7 +229,7 @@ class RoutingSimulator:
         (``None`` entries mean all-zero releases); ``max_ticks`` is a
         single budget shared by every run, a per-run list, or ``None``
         for the per-run hop-derived default.  On the fast engine (and on
-        ``auto`` without a compiled provider) all runs share one
+        ``auto`` when it resolves to fast) all runs share one
         vectorized tick loop (:func:`route_many`) keyed by per-run
         virtual edge ids, so the per-tick dispatch overhead amortizes
         across the batch; the reference and compiled engines route the
@@ -239,14 +254,15 @@ class RoutingSimulator:
             return []
 
         total_packets = sum(len(its) for its in itineraries_list)
+        resolved = self._resolve_engine()
         with obs.span(
             "route.batch",
-            engine=self.engine,
+            engine=resolved,
             policy=self.policy,
             runs=K,
             packets=total_packets,
         ) as sp:
-            if self._resolve_engine() != "fast":
+            if resolved != "fast":
                 results = [
                     self.route(its, max_ticks=mt, release_times=rel)
                     for its, rel, mt in zip(

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.routing.simulator import DEFAULT_ENGINE
+
 __all__ = [
     "ApiError",
     "BANDWIDTH_SCHEMA",
@@ -46,6 +48,10 @@ MAX_MACHINE_SIZE = 4096
 
 #: Largest accepted seed (fits any 32-bit rng path).
 MAX_SEED = 2**31 - 1
+
+#: ``engine`` choices on the compute endpoints.  ``compiled`` is left
+#: out: ``auto`` already picks it when it builds and never raises.
+_ENGINES = ("auto", "fast", "reference")
 
 
 class ApiError(Exception):
@@ -289,7 +295,7 @@ BANDWIDTH_SCHEMA = Schema(
     Field("family", "family", required=True),
     Field("size", "int", default=256, minimum=2, maximum=MAX_MACHINE_SIZE),
     Field("seed", "int", default=0, minimum=0, maximum=MAX_SEED),
-    Field("engine", "str", default="fast", choices=("fast", "reference")),
+    Field("engine", "str", default=DEFAULT_ENGINE, choices=_ENGINES),
     # replicates > 1 switches to the seed-replicated estimate (seeds
     # seed, seed+1, ...); batch=0 opts out of the batched multi-run
     # kernel (same values, slower -- an equivalence escape hatch).
@@ -327,7 +333,7 @@ SATURATION_SCHEMA = Schema(
     Field("rates", "float_list", minimum=1e-6, maximum=1.0, max_items=64),
     Field("duration", "int", default=128, minimum=1, maximum=4096),
     Field("seed", "int", default=0, minimum=0, maximum=MAX_SEED),
-    Field("engine", "str", default="fast", choices=("fast", "reference")),
+    Field("engine", "str", default=DEFAULT_ENGINE, choices=_ENGINES),
     Field("workload", "workload"),
 )
 

@@ -19,6 +19,7 @@ schedule with per-phase release times through any routing engine.
 
 from __future__ import annotations
 
+from repro.routing.simulator import DEFAULT_ENGINE, RoutingSimulator
 from repro.topologies.base import Machine
 from repro.traffic.distribution import TrafficDistribution
 from repro.util import check_positive_int
@@ -80,7 +81,7 @@ def all_reduce_time(
     machine: Machine,
     kind: str = "ring",
     policy: str = "fifo",
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> dict:
     """Route a full all-reduce schedule and report its end-to-end time.
 
@@ -89,8 +90,6 @@ def all_reduce_time(
     result records the makespan plus the schedule shape.  Deterministic:
     no sampling is involved, so no seed parameter exists.
     """
-    from repro.routing.simulator import RoutingSimulator
-
     schedule = all_reduce_schedule(machine.num_nodes, kind)
     itineraries: list[list[int]] = []
     release_times: list[int] = []
@@ -127,5 +126,5 @@ def all_reduce_time_job(spec: dict) -> dict:
         machine,
         kind=spec.get("kind", "ring"),
         policy=spec.get("policy", "fifo"),
-        engine=spec.get("engine", "fast"),
+        engine=spec.get("engine", DEFAULT_ENGINE),
     )

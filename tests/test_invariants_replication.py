@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import Replication, replicate
 from repro.routing import RoutingSimulator, measure_bandwidth
+from repro.routing import simulator
 from repro.topologies import (
     build_de_bruijn,
     build_mesh,
@@ -48,6 +49,29 @@ class TestValidateMode:
         b = RoutingSimulator(m, validate=False).route(its)
         assert a.total_time == b.total_time
         assert np.array_equal(a.delivery_times, b.delivery_times)
+
+    def test_auto_validates_on_the_fast_engine(self, monkeypatch):
+        """The C kernel has no invariant checks, so the default engine
+        resolves to fast under validation -- and the checks run."""
+        m = build_mesh(4, 2)
+        sim = RoutingSimulator(m, engine="auto", validate=True)
+        assert sim._resolve_engine() == "fast"
+        flags = []
+        real = simulator.route_many
+
+        def spy(*args, **kwargs):
+            flags.append(kwargs["validate"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "route_many", spy)
+        assert sim.route([[0, 15], [5, 10]]).num_packets == 2
+        assert flags == [True]
+
+    def test_compiled_refuses_validate(self):
+        """Asking the C kernel to validate fails at construction, with
+        or without a toolchain, instead of silently checking nothing."""
+        with pytest.raises(ValueError, match="validate"):
+            RoutingSimulator(build_mesh(4, 2), engine="compiled", validate=True)
 
 
 class TestReplication:

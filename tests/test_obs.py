@@ -37,7 +37,8 @@ from repro.obs import (
     read_events,
 )
 from repro.obs import trace as obs
-from repro.routing import measure_bandwidth, saturation_sweep
+from repro.routing import RoutingSimulator, measure_bandwidth, saturation_sweep
+from repro.routing.compiled import capability
 from repro.service.app import QueryService
 from repro.topologies.registry import family_spec
 
@@ -319,7 +320,10 @@ class TestDeterministicSpanTree:
         names = str(first)
         assert "measure_bandwidth" in names
         assert "measure.sample" in names and "measure.plan" in names
-        assert "route.fast" in names
+        # The default engine names the kernel that ran: the C kernel, or
+        # the batched kernel when it cannot build (REPRO_COMPILED=off).
+        ran = "compiled" if capability()["available"] else "fast"
+        assert f"route.{ran}" in names
         assert "traffic.build" in names
 
     def test_saturation_sweep_spans_its_traffic_build(self):
@@ -332,6 +336,25 @@ class TestDeterministicSpanTree:
         report = build_report(sink.events)
         assert report.find("saturation_sweep", "traffic.build").count == 1
         assert report.find("saturation_sweep", "route.batch").count == 1
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_route_batch_span_names_the_engine_that_ran(self, validate):
+        """``route.batch`` reports the resolved engine, never ``auto``,
+        and its child dispatch spans agree."""
+        machine = family_spec("mesh_2").build_with_size(16)
+        sim = RoutingSimulator(machine, validate=validate)
+        sink = MemorySink()
+        with obs.tracing(sink=sink):
+            sim.route_batch([[[0, 15], [3, 12]], [[5, 9]]])
+        spans = [e for e in sink.events if e["type"] == "span"]
+        [batch] = [e for e in spans if e["name"] == "route.batch"]
+        ran = sim._resolve_engine()
+        assert ran != "auto"
+        assert batch["attrs"]["engine"] == ran
+        if ran == "compiled":  # routed run by run, one dispatch each
+            assert [e["name"] for e in spans if e["parent"] == batch["id"]] == [
+                "route.compiled", "route.compiled"
+            ]
 
 
 # ---------------------------------------------------------------------------

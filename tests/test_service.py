@@ -494,6 +494,25 @@ class TestSnapshotTier:
         assert snap_stats["records"] == 2
         assert snap_stats["hits"] == 1
 
+    def test_default_snapshot_build_serves_default_queries(self, tmp_path):
+        """``repro snapshot build`` and ``/v1/bandwidth`` apply the same
+        default engine, so a default query hits a default-built cell;
+        if the two defaults drifted apart every lookup would miss."""
+        from repro.cli import main
+        from repro.fabric import CatalogSnapshot
+
+        path = tmp_path / "default.snap"
+        assert main([
+            "snapshot", "build", "--out", str(path), "--families", "ring",
+            "--sizes", "16", "--seeds", "1", "--workers", "1", "--quiet",
+        ]) == 0
+        service = QueryService(snapshot=CatalogSnapshot(path))
+        status, payload = service.handle(
+            "GET", "/v1/bandwidth", {"family": "ring", "size": "16"}
+        )
+        assert status == 200
+        assert payload["meta"]["cache"] == "snapshot"
+
     def test_unsnapshotted_cell_falls_through(self, snapshot_path):
         from repro.fabric import CatalogSnapshot
 

@@ -30,6 +30,7 @@ from hypothesis.stateful import (
 from hypothesis.strategies import floats, integers, sampled_from
 
 from repro.harness import Job, ResultStore, SerialExecutor
+from repro.routing import DEFAULT_ENGINE
 from repro.service import QueryService, TTLCache
 
 TTL = 30.0
@@ -55,7 +56,7 @@ def reference_value(family: str, size: int) -> dict:
     key = (family, size)
     if key not in _reference_cache:
         job = Job("measure_bandwidth", {
-            "family": family, "size": size, "seed": 0, "engine": "fast",
+            "family": family, "size": size, "seed": 0, "engine": DEFAULT_ENGINE,
         })
         result = SerialExecutor().run([job])[0]
         assert result.ok, result.error
@@ -149,7 +150,7 @@ class CacheTierMachine(RuleBasedStateMachine):
         live = set()
         for family, size in QUERIES:
             job = Job("measure_bandwidth", {
-                "family": family, "size": size, "seed": 0, "engine": "fast",
+                "family": family, "size": size, "seed": 0, "engine": DEFAULT_ENGINE,
             })
             hit, value = self.service.cache.get(job.job_hash)
             if hit:
