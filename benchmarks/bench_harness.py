@@ -1,11 +1,12 @@
 """Sweep-harness acceptance bench: parallel speedup + store hit rate.
 
-Runs the ISSUE-2 acceptance grid -- ``measure_bandwidth`` over
+Runs the acceptance grid -- ``measure_bandwidth`` over
 4 families x 3 sizes x 4 seeds -- three ways:
 
 1. serially, no store (the old ad-hoc-loop baseline);
-2. in parallel with ``max_workers=4`` against a cold store, asserting
-   the values are **bit-identical** to the serial run;
+2. through ``run_sweep(executor="parallel")`` (one forked fabric worker
+   per CPU) against a cold store, asserting the values are
+   **bit-identical** to the serial run;
 3. again against the warm store, asserting >= 95% of cells are served
    from cache.
 
@@ -24,7 +25,6 @@ import pytest
 
 from conftest import emit
 from repro.harness import (
-    ParallelExecutor,
     ResultStore,
     SerialExecutor,
     canonical_json,
@@ -40,7 +40,6 @@ AXES = {
     "size": [64, 128, 256],
     "seed": [0, 1, 2, 3],
 }
-WORKERS = 4
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_harness.json"
 
@@ -53,17 +52,13 @@ def _run_three_ways():
     assert serial.ok, serial.errors()
 
     parallel = run_sweep(
-        jobs,
-        executor=ParallelExecutor(max_workers=WORKERS),
-        store=ResultStore(store_root),
+        jobs, executor="parallel", store=ResultStore(store_root)
     )
     assert parallel.ok, parallel.errors()
     assert canonical_json(parallel.values) == canonical_json(serial.values)
 
     cached = run_sweep(
-        jobs,
-        executor=ParallelExecutor(max_workers=WORKERS),
-        store=ResultStore(store_root),
+        jobs, executor="parallel", store=ResultStore(store_root)
     )
     assert cached.cache_hit_rate >= 0.95, cached.as_dict()
     assert canonical_json(cached.values) == canonical_json(serial.values)
@@ -81,7 +76,7 @@ def test_harness_speedup_and_cache(benchmark):
     record = {
         "grid": {k: v for k, v in AXES.items()},
         "num_cells": len(jobs),
-        "workers": WORKERS,
+        "executor": parallel.executor,
         "available_cpus": cpus,
         "serial_seconds": round(serial.wall_seconds, 4),
         "parallel_seconds": round(parallel.wall_seconds, 4),
@@ -109,12 +104,12 @@ def test_harness_speedup_and_cache(benchmark):
             [
                 ("serial (no store)", f"{serial.wall_seconds:8.2f}", "1.0x"),
                 (
-                    f"parallel[{WORKERS}] cold store",
+                    f"{parallel.executor} cold store",
                     f"{parallel.wall_seconds:8.2f}",
                     f"{record['parallel_speedup']:.1f}x",
                 ),
                 (
-                    f"parallel[{WORKERS}] warm store",
+                    f"{parallel.executor} warm store",
                     f"{cached.wall_seconds:8.2f}",
                     f"{record['cached_speedup']:.1f}x",
                 ),
@@ -124,8 +119,8 @@ def test_harness_speedup_and_cache(benchmark):
         )
     )
     # The parallel path can only beat serial when the hardware has
-    # cores to give it; on a single-CPU box the pool time-slices one
-    # core and the win comes entirely from the warm store instead.
+    # cores to give it; on a single-CPU box "parallel" runs in process
+    # and the win comes entirely from the warm store instead.
     if cpus >= 4:
         assert record["parallel_speedup"] > 1.5, record
     assert record["cached_speedup"] > 20.0, record

@@ -128,6 +128,38 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """The grid, deadline and output flags ``sweep`` and ``fabric run`` share."""
+    parser.add_argument("job", help="job alias or dotted 'module:callable' path")
+    parser.add_argument("--families", nargs="*", help="axis sugar: family keys")
+    parser.add_argument("--sizes", type=int, nargs="*", help="axis sugar: sizes")
+    parser.add_argument(
+        "--seeds", type=int, help="axis sugar: seeds 0..N-1", metavar="N"
+    )
+    parser.add_argument(
+        "--axis",
+        action="append",
+        metavar="KEY=V1,V2,...",
+        help="generic sweep axis (repeatable)",
+    )
+    parser.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="fixed spec entry shared by every cell (repeatable)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None, help="per-job timeout (seconds)"
+    )
+    parser.add_argument(
+        "--store", default=None, metavar="DIR", help="result-store directory"
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="FILE", help="write full JSON"
+    )
+    parser.add_argument("--quiet", action="store_true", help="no progress lines")
+
+
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload", default=None, metavar="KEY",
@@ -434,12 +466,7 @@ def _print_sweep(args, jobs, sweep, resumed: bool = False) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.harness import (
-        ParallelExecutor,
-        ResultStore,
-        SerialExecutor,
-        run_sweep,
-    )
+    from repro.harness import ResultStore, local_executor, run_sweep
 
     if args.resume and not args.store:
         raise SystemExit(
@@ -447,13 +474,7 @@ def _cmd_sweep(args) -> int:
             "a previous run already persisted there"
         )
     jobs = _grid_jobs(args)
-    executor = (
-        ParallelExecutor(
-            max_workers=args.workers, timeout=args.timeout, retries=args.retries
-        )
-        if args.workers > 1
-        else SerialExecutor(timeout=args.timeout, retries=args.retries)
-    )
+    executor = local_executor(args.workers, args.timeout, args.retries)
     store = ResultStore(args.store) if args.store else None
     with _traced(args, "cli.sweep"):
         sweep = run_sweep(
@@ -608,7 +629,6 @@ def _cmd_serve(args) -> int:
                     store=args.store,
                     cache_size=args.cache_size,
                     ttl=args.ttl,
-                    timeout=args.timeout,
                     max_workers=args.max_workers,
                     verbose=args.verbose,
                     drain_timeout=args.drain_timeout,
@@ -630,7 +650,6 @@ def _cmd_serve(args) -> int:
             store=args.store,
             cache_size=args.cache_size,
             ttl=args.ttl,
-            timeout=args.timeout,
             max_workers=args.max_workers,
             verbose=args.verbose,
             drain_timeout=args.drain_timeout,
@@ -834,41 +853,21 @@ def build_parser() -> argparse.ArgumentParser:
             "Expand a cartesian grid of job specs and run it through the "
             "sweep harness (repro.harness): results are cached by content "
             "hash when --store is given, and --workers > 1 fans cells out "
-            "over a process pool with bit-identical results. "
+            "over forked workers on the work-queue fabric (see 'repro "
+            "fabric') with bit-identical results. "
             f"Registered job aliases: {', '.join(sorted(BUILTIN_JOBS))}; "
             "any 'module:callable' job function also works."
         ),
     )
-    sw.add_argument("job", help="job alias or dotted 'module:callable' path")
-    sw.add_argument("--families", nargs="*", help="axis sugar: family keys")
-    sw.add_argument("--sizes", type=int, nargs="*", help="axis sugar: sizes")
+    _add_grid_flags(sw)
     sw.add_argument(
-        "--seeds", type=int, help="axis sugar: seeds 0..N-1", metavar="N"
-    )
-    sw.add_argument(
-        "--axis",
-        action="append",
-        metavar="KEY=V1,V2,...",
-        help="generic sweep axis (repeatable)",
-    )
-    sw.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="fixed spec entry shared by every cell (repeatable)",
-    )
-    sw.add_argument("--workers", type=int, default=1, help="process-pool size")
-    sw.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout (seconds)"
+        "--workers", type=int, default=1,
+        help="worker processes (1 = in this process; more fork fabric "
+        "workers)",
     )
     sw.add_argument(
         "--retries", type=int, default=1, help="retries per transient failure"
     )
-    sw.add_argument(
-        "--store", default=None, metavar="DIR", help="result-store directory"
-    )
-    sw.add_argument("--out", default=None, metavar="FILE", help="write full JSON")
-    sw.add_argument("--quiet", action="store_true", help="no progress lines")
     sw.add_argument(
         "--resume",
         action="store_true",
@@ -883,8 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sweep on the leased work-queue fabric",
         description=(
             "The fabric executes a sweep grid through a durable on-disk "
-            "work queue: a coordinator leases cells to worker "
-            "subprocesses with heartbeats, re-queues cells whose worker "
+            "work queue: a coordinator leases cells to forked worker "
+            "processes with heartbeats, re-queues cells whose worker "
             "dies, and resumes from the same --queue directory after a "
             "coordinator crash without recomputing settled cells. "
             "Results are bit-identical to a serial sweep. "
@@ -893,32 +892,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fbsub = fb.add_subparsers(dest="fabric_command", required=True)
     fbr = fbsub.add_parser("run", help="run a grid through the fabric")
-    fbr.add_argument("job", help="job alias or dotted 'module:callable' path")
-    fbr.add_argument("--families", nargs="*", help="axis sugar: family keys")
-    fbr.add_argument("--sizes", type=int, nargs="*", help="axis sugar: sizes")
-    fbr.add_argument(
-        "--seeds", type=int, help="axis sugar: seeds 0..N-1", metavar="N"
-    )
-    fbr.add_argument(
-        "--axis",
-        action="append",
-        metavar="KEY=V1,V2,...",
-        help="generic sweep axis (repeatable)",
-    )
-    fbr.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="fixed spec entry shared by every cell (repeatable)",
-    )
+    _add_grid_flags(fbr)
     fbr.add_argument("--workers", type=int, default=4, help="worker processes")
     fbr.add_argument(
         "--queue", default=None, metavar="DIR",
         help="durable queue directory (resumable across restarts; "
         "default: ephemeral temp dir)",
-    )
-    fbr.add_argument(
-        "--store", default=None, metavar="DIR", help="result-store directory"
     )
     fbr.add_argument(
         "--lease-ttl", type=float, default=15.0, dest="lease_ttl",
@@ -932,13 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-attempts", type=int, default=3, dest="max_attempts",
         help="attempts per cell before it fails terminally",
     )
-    fbr.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout (seconds)"
-    )
-    fbr.add_argument(
-        "--out", default=None, metavar="FILE", help="write full JSON"
-    )
-    fbr.add_argument("--quiet", action="store_true", help="no progress lines")
     _add_trace_flag(fbr)
     fbr.set_defaults(fn=_cmd_fabric_run)
 
@@ -1025,10 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--ttl", type=float, default=300.0,
         help="in-process cache TTL (seconds)",
-    )
-    sv.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-request compute timeout (seconds; harness machinery)",
     )
     sv.add_argument(
         "--max-workers", type=int, default=8,

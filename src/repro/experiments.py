@@ -91,33 +91,24 @@ def replicate(
     num_seeds: int = 8,
     base_seed: int = 0,
     *,
-    parallel: int | None = None,
-    executor=None,
     batch: bool = False,
 ) -> Replication:
     """Run ``measurement(seed)`` for ``num_seeds`` distinct seeds.
 
     The seeds are ``base_seed, base_seed + 1, ...`` so replications are
-    themselves reproducible.  ``parallel=k`` fans the seeds out over a
-    :class:`repro.harness.executors.ParallelExecutor` with ``k``
-    workers (``executor=`` passes one explicitly); because each seed is
-    an independent pure call, the parallel result is bit-identical to
-    the serial one.  Unpicklable measurements (lambdas, closures)
-    degrade gracefully to the serial path.
+    themselves reproducible.
 
     ``batch=True`` instead calls ``measurement(seeds)`` **once** with
     the whole seed list and expects one value per seed back -- the
     in-process fast path for batched measurements such as
     :func:`repro.routing.measure_bandwidth_many`, which amortize shared
-    setup and the simulator tick loop across seeds without any
-    multiprocessing pickling cost.  The values must match the per-seed
-    call bit-for-bit (the batched measurements in this repo do).
+    setup and the simulator tick loop across seeds.  The values must
+    match the per-seed call bit-for-bit (the batched measurements in
+    this repo do).  Seeds worth fanning out over processes are sweep
+    cells: run them as jobs through :func:`repro.harness.run_sweep`.
     """
     check_positive_int(num_seeds, "num_seeds")
     if batch:
-        if parallel is not None or executor is not None:
-            raise ValueError("batch=True already amortizes; it cannot "
-                             "be combined with parallel/executor")
         raw = measurement([base_seed + i for i in range(num_seeds)])
         values = tuple(float(v) for v in raw)
         if len(values) != num_seeds:
@@ -126,14 +117,5 @@ def replicate(
                 f"for {num_seeds} seeds"
             )
         return Replication(values=values)
-    if executor is None and parallel is not None and parallel > 1:
-        from repro.harness.executors import ParallelExecutor
-
-        executor = ParallelExecutor(max_workers=parallel)
-    if executor is not None:
-        raw = executor.run_callable(
-            measurement, [(base_seed + i,) for i in range(num_seeds)]
-        )
-        return Replication(values=tuple(float(v) for v in raw))
     values = tuple(float(measurement(base_seed + i)) for i in range(num_seeds))
     return Replication(values=values)

@@ -1,10 +1,10 @@
 """Distributed, resumable sweep fabric over the harness result store.
 
-The harness (:mod:`repro.harness`) parallelizes within one process pool
-and dies with it.  This package adds the next tier of scale: a
-**work-queue execution fabric** in which a :class:`Coordinator` owns a
-durable on-disk queue of content-hashed job specs
-(:class:`~repro.fabric.queue.WorkQueue`) and independent
+The harness (:mod:`repro.harness`) runs cells in process; this package
+is its one parallel path (``run_sweep(executor="parallel")`` runs
+here).  It is a **work-queue execution fabric** in which a
+:class:`Coordinator` owns a durable on-disk queue of content-hashed job
+specs (:class:`~repro.fabric.queue.WorkQueue`) and independent
 :mod:`~repro.fabric.worker` processes *lease* cells from it --
 heartbeats keep a lease alive, a crashed worker's lease expires and the
 cell is re-leased with bounded attempts, and a killed-and-restarted
@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 # Exports resolve lazily (PEP 562) so ``python -m repro.fabric.worker``
-# -- the subprocess entry point every worker runs through -- does not
-# import the whole package (and hence the worker module itself) before
-# runpy executes it, which would trigger a double-import warning.
+# -- the entry point a worker on another host runs -- does not import
+# the whole package (and hence the worker module itself) before runpy
+# executes it, which would trigger a double-import warning.
 _HOMES = {
     "Coordinator": "coordinator",
     "FabricExecutor": "coordinator",

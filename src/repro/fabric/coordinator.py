@@ -18,28 +18,31 @@ Responsibilities per poll tick:
 * **stream results** to the caller's ``on_result`` callback in
   completion order, exactly like the in-process executors.
 
-Workers are spawned as real subprocesses running
-``python -m repro.fabric.worker`` -- the same entry point a remote host
-would run against a shared queue directory -- so the local fabric and a
-future multi-host fabric speak one protocol.  If every worker dies and
-the respawn budget is spent, the coordinator degrades to executing the
-remaining cells inline, mirroring the harness pool's serial fallback:
-a fabric sweep finishes or fails per-cell, it never wedges.
+Local workers are forked from the coordinator's process and run
+:func:`~repro.fabric.worker.worker_loop` -- the loop
+``python -m repro.fabric.worker`` runs on another host against a shared
+queue directory -- so local and remote workers speak one protocol.
+Forking skips the interpreter start and the numpy, scipy and repro
+imports a fresh process would pay, and the child inherits the parent's
+``sys.path``, so job functions defined in tests or scripts resolve.
+If every worker dies and the respawn budget is spent, the coordinator
+degrades to executing the remaining cells inline: a fabric sweep
+finishes or fails per-cell, it never wedges.
 
 :class:`FabricExecutor` adapts the coordinator to the executor protocol
 (``run(jobs, on_result) -> list[JobResult]``), which is what lets
-``run_sweep(executor="fabric")`` reuse every existing sweep feature --
-store-backed resume, progress lines, JSON output -- unchanged.
+``run_sweep(executor="fabric")`` (and ``executor="parallel"``) reuse
+every existing sweep feature -- store-backed resume, progress lines,
+JSON output -- unchanged.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import shutil
-import subprocess
-import sys
 import tempfile
 import time
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,22 +51,9 @@ from repro.harness.jobs import Job
 from repro.obs import trace as obs
 
 from repro.fabric.queue import QueueConfig, WorkQueue
-from repro.fabric.worker import _execute_lease
+from repro.fabric.worker import _execute_lease, worker_loop
 
 __all__ = ["Coordinator", "FabricExecutor"]
-
-
-def _worker_env() -> dict[str, str]:
-    """The spawned worker's environment: this interpreter's import path.
-
-    Propagating ``sys.path`` (not just ``$PYTHONPATH``) keeps job
-    functions registered from test modules or scripts importable in
-    workers, matching the process-pool executor's fork semantics.
-    """
-    env = dict(os.environ)
-    entries = [p for p in sys.path if p]
-    env["PYTHONPATH"] = os.pathsep.join(entries)
-    return env
 
 
 class Coordinator:
@@ -85,7 +75,7 @@ class Coordinator:
             self.num_workers if respawn_budget is None else int(respawn_budget)
         )
         self.store = str(store) if store is not None else None
-        self.workers: list[subprocess.Popen] = []
+        self.workers: list[BaseProcess] = []
         self._spawned = 0
         self.respawns = 0
         self.requeues = 0
@@ -111,18 +101,22 @@ class Coordinator:
         )
         return added
 
-    def spawn_worker(self) -> subprocess.Popen:
-        """Start one ``repro.fabric.worker`` subprocess against the queue."""
+    def spawn_worker(self) -> BaseProcess:
+        """Fork one :func:`worker_loop` process against the queue."""
         self._spawned += 1
         worker_id = f"w{self._spawned}"
-        argv = [
-            sys.executable, "-m", "repro.fabric.worker",
-            str(self.queue.root), "--worker-id", worker_id,
-        ]
-        if self.store:
-            argv += ["--store", self.store]
-        proc = subprocess.Popen(argv, env=_worker_env())
-        proc.fabric_worker_id = worker_id  # type: ignore[attr-defined]
+        # fork, not spawn: the child starts with every module imported.
+        # That is safe only because nothing on the worker's path takes a
+        # lock another parent thread may hold at the fork; the tracer's
+        # (the one module-level lock there) is reset in the child.
+        proc = multiprocessing.get_context("fork").Process(
+            target=worker_loop,
+            args=(str(self.queue.root),),
+            kwargs={"worker_id": worker_id, "store": self.store},
+            name=worker_id,
+            daemon=True,
+        )
+        proc.start()
         self.workers.append(proc)
         obs.event("fabric.worker_spawned", worker=worker_id, pid=proc.pid)
         return proc
@@ -145,15 +139,14 @@ class Coordinator:
             if disposition == "requeued":
                 self.requeues += 1
                 requeued.append(job_hash)
-        live: list[subprocess.Popen] = []
+        live: list[BaseProcess] = []
         for proc in self.workers:
-            if proc.poll() is None:
+            if proc.is_alive():
                 live.append(proc)
                 continue
-            worker_id = getattr(proc, "fabric_worker_id", "?")
             obs.event(
-                "fabric.worker_exited", worker=worker_id,
-                returncode=proc.returncode,
+                "fabric.worker_exited", worker=proc.name,
+                returncode=proc.exitcode,
             )
             if self.queue.unsettled() > 0 and self.respawns < self.respawn_budget:
                 self.respawns += 1
@@ -170,7 +163,7 @@ class Coordinator:
         """Poll until every cell settles (``True``) or ``timeout`` passes.
 
         Results are streamed to ``on_result`` in completion order when
-        ``jobs`` is given (completion order, like the process pool).
+        ``jobs`` is given.
         """
         by_hash = {job.job_hash: job for job in (jobs or [])}
         reported: set[str] = set()
@@ -198,16 +191,13 @@ class Coordinator:
         """Let workers drain-exit, then terminate any stragglers."""
         deadline = time.monotonic() + timeout
         for proc in self.workers:
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
                 proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    proc.wait()
+                proc.join(timeout=2.0)
+            if proc.is_alive():  # pragma: no cover
+                proc.kill()
+                proc.join()
         self.workers = []
 
     # -- the blocking front door --------------------------------------------
@@ -229,8 +219,9 @@ class Coordinator:
         ) as sp:
             self.enqueue(jobs)
             self.queue.seal()
-            if self.queue.unsettled() > 0:
-                self.spawn()
+            unsettled = self.queue.unsettled()
+            if unsettled > 0:
+                self.spawn(min(self.num_workers, unsettled))
             self.wait(jobs, on_result=on_result)
             self.shutdown()
             sp.set(
@@ -266,6 +257,7 @@ class Coordinator:
                 seconds=float(payload.get("seconds") or 0.0),
                 attempts=int(payload.get("attempts") or 1),
                 worker=f"fabric:{payload.get('worker', '?')}",
+                timeouts=int(payload.get("timeouts") or 0),
             )
         failure = self.queue.failure(job.job_hash)
         if failure is not None:
@@ -274,6 +266,7 @@ class Coordinator:
                 error=str(failure.get("error") or "job failed"),
                 attempts=int(failure.get("attempts") or 1),
                 worker=f"fabric:{failure.get('worker', '?')}",
+                timeouts=int(failure.get("timeouts") or 0),
             )
         return JobResult(
             job=job, error="cell never settled", worker="fabric:?"

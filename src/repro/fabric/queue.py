@@ -12,10 +12,15 @@ Layout::
       queue.json        immutable config (lease ttl, heartbeat, retries)
       sealed            marker: every job of this sweep has been enqueued
       jobs/<hash>.json  the job spec (fn + spec), immutable once written
-      pending/<hash>    claimable marker; holds {"attempts": n} so far
-      leases/<hash>     held cell: {"worker", "attempts", "heartbeat"}
+      pending/<hash>    claimable marker; holds {"attempts", "timeouts"}
+                        so far
+      leases/<hash>     held cell: {"worker", "attempts", "timeouts",
+                        "heartbeat"}
       results/<hash>.json  completed cell: value + timing + worker
       failed/<hash>.json   terminally failed cell: error + attempts
+
+``timeouts`` counts the attempts that hit the per-job deadline, carried
+from attempt to attempt so a settled cell reports them all.
 
 State machine per cell::
 
@@ -113,6 +118,7 @@ class Lease:
     worker: str
     attempts: int  # 1-based: the attempt this lease is executing
     heartbeat: float = field(default_factory=time.time)
+    timeouts: int = 0  # earlier attempts (and this one) that timed out
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready form (what ``leases/<hash>`` holds)."""
@@ -120,6 +126,7 @@ class Lease:
             "hash": self.job_hash,
             "worker": self.worker,
             "attempts": self.attempts,
+            "timeouts": self.timeouts,
             "heartbeat": self.heartbeat,
         }
 
@@ -208,11 +215,19 @@ class WorkQueue:
                 continue
             marker = _read_json(self.pending_dir / name)
             try:
+                # Touch, then rename: until the lease is written below,
+                # the claimed file is this marker, aged by its mtime.
+                os.utime(self.pending_dir / name)
                 os.rename(self.pending_dir / name, self.leases_dir / name)
             except FileNotFoundError:
                 continue  # lost the race for this cell
-            attempts = int((marker or {}).get("attempts", 0)) + 1
-            lease = Lease(job_hash=name, worker=worker, attempts=attempts)
+            marker = marker or {}
+            lease = Lease(
+                job_hash=name,
+                worker=worker,
+                attempts=int(marker.get("attempts", 0)) + 1,
+                timeouts=int(marker.get("timeouts", 0)),
+            )
             _write_atomic(self.leases_dir / name, canonical_json(lease.as_dict()))
             return lease
         return None
@@ -245,6 +260,7 @@ class WorkQueue:
                     "seconds": round(seconds, 6),
                     "worker": lease.worker,
                     "attempts": lease.attempts,
+                    "timeouts": lease.timeouts,
                 }
             ),
         )
@@ -261,6 +277,7 @@ class WorkQueue:
                     "error": error,
                     "worker": lease.worker,
                     "attempts": lease.attempts,
+                    "timeouts": lease.timeouts,
                 }
             ),
         )
@@ -277,7 +294,9 @@ class WorkQueue:
             return False
         _write_atomic(
             self.pending_dir / lease.job_hash,
-            canonical_json({"attempts": lease.attempts}),
+            canonical_json(
+                {"attempts": lease.attempts, "timeouts": lease.timeouts}
+            ),
         )
         (self.leases_dir / lease.job_hash).unlink(missing_ok=True)
         return True
@@ -288,23 +307,25 @@ class WorkQueue:
         """Re-queue (or terminally fail) every lease with a dead heartbeat.
 
         Returns ``(job_hash, disposition)`` pairs, disposition being
-        ``"requeued"`` or ``"failed"``.  A lease whose file cannot be
-        parsed (claim mid-rewrite) is aged by file mtime instead -- a
-        half-written lease is alive by construction.
+        ``"requeued"`` or ``"failed"``.  A lease file without a heartbeat
+        is aged by its mtime instead: mid-claim it is the renamed pending
+        marker, which :meth:`claim` touched just before the rename, and
+        an unparseable file fails terminally once it expires.
         """
         now = time.time() if now is None else now
         expired: list[tuple[str, str]] = []
         for name in self._names(self.leases_dir):
             path = self.leases_dir / name
             payload = _read_json(path)
-            if payload is None:
+            if payload is not None and "heartbeat" in payload:
+                beat = float(payload["heartbeat"])
+            else:
                 try:
                     beat = path.stat().st_mtime
                 except OSError:
                     continue  # settled or re-queued between list and stat
-                payload = {"attempts": self.config.max_attempts, "worker": "?"}
-            else:
-                beat = float(payload.get("heartbeat", 0.0))
+                if payload is None:
+                    payload = {"attempts": self.config.max_attempts, "worker": "?"}
             if now - beat <= self.config.lease_ttl:
                 continue
             lease = Lease(
@@ -312,6 +333,7 @@ class WorkQueue:
                 worker=str(payload.get("worker", "?")),
                 attempts=int(payload.get("attempts", 1)),
                 heartbeat=beat,
+                timeouts=int(payload.get("timeouts", 0)),
             )
             if (self.results_dir / f"{name}.json").exists():
                 path.unlink(missing_ok=True)  # settled; just drop the husk

@@ -16,9 +16,9 @@ fabric sweep doubles as a catalog precompute: the service reads the
 same store.
 
 Runnable standalone -- ``python -m repro.fabric.worker QUEUE_DIR`` --
-so the protocol stays host-agnostic: the coordinator only *happens* to
-spawn workers locally; any machine that mounts the queue directory can
-contribute by running this module.
+so the protocol stays host-agnostic: the coordinator forks its local
+workers straight into :func:`worker_loop`, and any other machine that
+mounts the queue directory can contribute by running this module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import socket
 import threading
 import time
 
-from repro.harness.executors import _execute_job
+from repro.harness.executors import _execute_job, _is_timeout
 from repro.harness.store import ResultStore
 from repro.obs import trace as obs
 
@@ -90,6 +90,8 @@ def _execute_lease(queue: WorkQueue, lease: Lease, store: ResultStore | None) ->
     finally:
         beat.stop()
     seconds = time.perf_counter() - t0
+    if status == "transient" and _is_timeout(payload):
+        lease.timeouts += 1
     if status == "ok":
         if store is not None:
             store.put(job, payload, seconds=seconds)

@@ -14,33 +14,66 @@ to submission order.  ``python -m repro sweep`` exposes the same engine
 on the command line.
 
 ``executor`` also accepts a name -- ``"serial"``, ``"parallel"``, or
-``"fabric"`` (the leased work-queue fabric in :mod:`repro.fabric`, see
-``docs/FABRIC.md``) -- for callers that do not want to construct one.
+``"fabric"`` -- for callers that do not want to construct one.  Both
+multi-process names run on the leased work-queue fabric
+(:mod:`repro.fabric`, see ``docs/FABRIC.md``): there is one in-process
+path and one crash-safe parallel path.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.harness.executors import JobResult, ParallelExecutor, SerialExecutor
+from repro.harness.executors import JobResult, SerialExecutor
 from repro.harness.jobs import Job
 from repro.harness.store import ResultStore
 from repro.obs import trace as obs
 
-__all__ = ["SweepResult", "expand_grid", "resolve_executor", "run_sweep"]
+__all__ = [
+    "SweepResult",
+    "expand_grid",
+    "local_executor",
+    "resolve_executor",
+    "run_sweep",
+]
+
+
+def local_executor(
+    workers: int | None = None,
+    timeout: float | None = None,
+    retries: int = 1,
+) -> Any:
+    """The executor for ``workers`` local processes (default: one per CPU).
+
+    One worker runs the cells in this process
+    (:class:`SerialExecutor`); more run them on the fabric with that
+    many forked workers.  Either way each attempt gets ``timeout``
+    seconds and a transient failure is retried ``retries`` times, so
+    the worker count changes where cells run, never what they return.
+    """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers <= 1:
+        return SerialExecutor(timeout=timeout, retries=retries)
+    from repro.fabric import FabricExecutor
+
+    return FabricExecutor(
+        num_workers=workers, timeout=timeout, max_attempts=retries + 1
+    )
 
 
 def resolve_executor(executor: Any) -> Any:
     """Map an executor name to an instance; pass instances through.
 
-    Names: ``"serial"``, ``"parallel"`` (process pool, default worker
-    count), ``"fabric"`` (leased work-queue fabric, default worker
-    count).  The fabric import is lazy so the harness has no hard
-    dependency on :mod:`repro.fabric`.
+    Names: ``"serial"``, ``"parallel"`` (:func:`local_executor`: one
+    forked fabric worker per CPU, serial on one CPU), ``"fabric"``
+    (the fabric's own defaults).  The fabric import is lazy so the
+    harness has no hard dependency on :mod:`repro.fabric`.
     """
     if executor is None:
         return SerialExecutor()
@@ -50,7 +83,7 @@ def resolve_executor(executor: Any) -> Any:
     if name == "serial":
         return SerialExecutor()
     if name == "parallel":
-        return ParallelExecutor()
+        return local_executor()
     if name == "fabric":
         from repro.fabric import FabricExecutor
 
@@ -190,7 +223,7 @@ def _progress_printer(total: int) -> Callable[[JobResult], None]:
 
 def run_sweep(
     jobs: Iterable[Job],
-    executor: SerialExecutor | ParallelExecutor | str | None = None,
+    executor: Any = None,
     store: ResultStore | None = None,
     progress: bool | Callable[[JobResult], None] = False,
 ) -> SweepResult:
@@ -198,8 +231,9 @@ def run_sweep(
 
     Cache hits never execute; misses run on ``executor`` (default
     serial; also accepts ``"serial"``/``"parallel"``/``"fabric"`` by
-    name) and successful fresh results are persisted.  The returned
-    results are in job order regardless of completion order.
+    name, see :func:`resolve_executor`) and successful fresh results
+    are persisted.  The returned results are in job order regardless
+    of completion order.
     """
     jobs = list(jobs)
     executor = resolve_executor(executor)

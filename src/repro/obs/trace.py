@@ -23,11 +23,16 @@ self-time/cumulative tree.
 Span names are dotted ``subsystem.phase`` strings (``route.fast``,
 ``harness.job``, ``emulate.step``, ``service.request``); see
 ``docs/OBSERVABILITY.md`` for the naming scheme.
+
+The tracer does not cross ``fork``: the sink is flushed before the
+process forks and the child starts with the slot empty, so a forked
+worker never re-writes the parent's buffered lines into its file.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 import uuid
@@ -350,3 +355,27 @@ def tracing(
     finally:
         if _TRACER is tracer:
             disable()
+
+
+def _flush_before_fork() -> None:
+    """Empty the sink's buffer so the child's copy of it holds nothing."""
+    tracer = _TRACER
+    if tracer is not None:
+        tracer.sink.flush()
+
+
+def _untrace_child() -> None:
+    """Start a forked child with no tracer (and a lock nobody holds).
+
+    The parent's tracer is dropped, not closed: closing it would write
+    the parent's counters into the parent's file.
+    """
+    global _TRACER, _INSTALL_LOCK
+    _INSTALL_LOCK = threading.Lock()
+    _TRACER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_flush_before_fork, after_in_child=_untrace_child
+    )

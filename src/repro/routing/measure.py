@@ -261,12 +261,10 @@ def measure_bandwidth_batch_job(spec: dict) -> dict:
     Registered as the ``measure_bandwidth_batch`` alias: ``family`` is
     required; ``size`` (256), ``strategy`` (``"shortest"``), ``policy``
     (``"farthest"``), ``num_messages`` (the ``8n`` default),
-    ``replicates`` (8), ``base_seed`` (0), ``engine`` (``"auto"``) and
-    ``batch`` (1) are optional.  ``batch=0`` runs the seeds through
-    sequential :func:`measure_bandwidth` calls instead of the batched
-    kernel; both paths return bit-identical values, so the knob only
-    trades wall-clock (and exists so the equivalence is checkable from
-    the service).
+    ``replicates`` (8), ``base_seed`` (0) and ``engine`` (``"auto"``)
+    are optional.  The seeds route together through
+    :func:`measure_bandwidth_many`, whose values equal sequential
+    :func:`measure_bandwidth` calls bit for bit.
     """
     from repro.experiments import Replication
     from repro.topologies.registry import family_spec
@@ -284,10 +282,7 @@ def measure_bandwidth_batch_job(spec: dict) -> dict:
         workload=spec.get("workload"),
         workload_params=spec.get("workload_params"),
     )
-    if int(spec.get("batch", 1)):
-        many = measure_bandwidth_many(machine, seeds, **kwargs)
-    else:
-        many = [measure_bandwidth(machine, seed=s, **kwargs) for s in seeds]
+    many = measure_bandwidth_many(machine, seeds, **kwargs)
     rep = Replication(values=tuple(m.rate for m in many))
     out = {
         "family": spec["family"],

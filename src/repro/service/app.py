@@ -25,8 +25,8 @@ keys every cache tier -- the optional memory-mapped
 consulted first so snapshotted queries never touch the compute path),
 the in-process :class:`~repro.service.cache.TTLCache`, then the on-disk
 :class:`~repro.harness.store.ResultStore` -- and a cold request
-executes through the harness :class:`SerialExecutor`, reusing its
-timeout/retry machinery.  Concurrent cold requests for the same job
+executes through the harness :class:`SerialExecutor`, once (no
+retries).  Concurrent cold requests for the same job
 hash are **single-flighted** (:class:`~repro.service.cache.SingleFlight`):
 one computes, the rest wait and share the value.  Responses carry a
 ``meta.cache`` field (``"snapshot"``, ``"memory"``, ``"store"``,
@@ -34,11 +34,10 @@ one computes, the rest wait and share the value.  Responses carry a
 another's compute) so clients and benchmarks can see which tier
 answered.
 
-Note on timeouts: the harness deadline is ``SIGALRM``-based, so it is
-enforced when ``handle`` runs on the main thread (direct calls, tests)
-and degrades to no deadline inside the threaded HTTP front-end; the
-request-size bounds in :mod:`repro.service.schemas` are the hard
-protection there.
+There is no per-request compute deadline: the harness deadline is
+``SIGALRM``-based and cannot be armed off the main thread, where the
+threaded HTTP front-end runs every request.  The request-size bounds in
+:mod:`repro.service.schemas` are what keep a request's compute small.
 """
 
 from __future__ import annotations
@@ -79,8 +78,6 @@ class QueryService:
         store: ResultStore | None = None,
         cache_size: int = 1024,
         ttl: float = 300.0,
-        timeout: float | None = None,
-        retries: int = 0,
         snapshot: Any = None,
         prefork: Any = None,
     ) -> None:
@@ -93,7 +90,7 @@ class QueryService:
         self.cache = TTLCache(maxsize=cache_size, ttl=ttl)
         self.flight = SingleFlight()
         self.metrics = ServiceMetrics()
-        self.executor = SerialExecutor(timeout=timeout, retries=retries)
+        self.executor = SerialExecutor(retries=0)
         self.started = time.monotonic()
         self._routes: dict[str, dict[str, tuple[Schema | None, Any]]] = {
             "/healthz": {"GET": (None, self._h_healthz)},
@@ -246,8 +243,6 @@ class QueryService:
 
     @staticmethod
     def _job_error(error: str) -> ApiError:
-        if "timed out" in error:
-            return ApiError(504, "timeout", error)
         if error.startswith("ValueError"):
             # Deterministic spec rejection from domain code (e.g. host
             # larger than guest after size rounding): the client's fault.
@@ -315,13 +310,10 @@ class QueryService:
             spec["base_seed"] = spec.pop("seed")
             value, tier = self._run_job("measure_bandwidth_batch", spec)
         else:
-            # Single-seed path: drop the replication-only knobs so the
+            # Single-seed path: drop the replication-only knob so the
             # job spec (and therefore the cache key) is unchanged from
-            # before they existed.
-            spec = {
-                k: v for k, v in params.items()
-                if k not in ("replicates", "batch")
-            }
+            # before it existed.
+            spec = {k: v for k, v in params.items() if k != "replicates"}
             value, tier = self._run_job("measure_bandwidth", spec)
         return 200, {"result": value, "meta": self._meta(tier, t0)}
 

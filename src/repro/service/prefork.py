@@ -359,7 +359,6 @@ def serve_prefork(
     store: str | None = None,
     cache_size: int = 1024,
     ttl: float = 300.0,
-    timeout: float | None = None,
     max_workers: int = 8,
     verbose: bool = False,
     drain_timeout: float = 10.0,
@@ -411,7 +410,6 @@ def serve_prefork(
         store=store,
         cache_size=cache_size,
         ttl=ttl,
-        timeout=timeout,
         max_workers=max_workers,
         verbose=verbose,
         snapshot=snapshot,

@@ -297,10 +297,8 @@ BANDWIDTH_SCHEMA = Schema(
     Field("seed", "int", default=0, minimum=0, maximum=MAX_SEED),
     Field("engine", "str", default=DEFAULT_ENGINE, choices=_ENGINES),
     # replicates > 1 switches to the seed-replicated estimate (seeds
-    # seed, seed+1, ...); batch=0 opts out of the batched multi-run
-    # kernel (same values, slower -- an equivalence escape hatch).
+    # seed, seed+1, ...) on the batched multi-run kernel.
     Field("replicates", "int", default=1, minimum=1, maximum=64),
-    Field("batch", "int", default=1, minimum=0, maximum=1),
     # No default: an absent workload key is absent from the job spec
     # too, so pre-workload cache entries stay valid.
     Field("workload", "workload"),

@@ -186,8 +186,6 @@ def create_server(
     store: ResultStore | str | Path | None = None,
     cache_size: int = 1024,
     ttl: float = 300.0,
-    timeout: float | None = None,
-    retries: int = 0,
     max_workers: int = 8,
     verbose: bool = False,
     snapshot: str | Path | None = None,
@@ -225,8 +223,6 @@ def create_server(
         store=store,
         cache_size=cache_size,
         ttl=ttl,
-        timeout=timeout,
-        retries=retries,
         snapshot=opened_snapshot,
         prefork=prefork,
     )
@@ -240,7 +236,6 @@ def serve(
     store: str | None = None,
     cache_size: int = 1024,
     ttl: float = 300.0,
-    timeout: float | None = None,
     max_workers: int = 8,
     verbose: bool = False,
     drain_timeout: float = 10.0,
@@ -262,7 +257,6 @@ def serve(
         store=store,
         cache_size=cache_size,
         ttl=ttl,
-        timeout=timeout,
         max_workers=max_workers,
         verbose=verbose,
         snapshot=snapshot,

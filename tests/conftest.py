@@ -1,6 +1,9 @@
-"""Shared fixtures: small representative machines for every family."""
+"""Shared fixtures: small representative machines for every family, and a
+pinned CPU count for parallel sweeps."""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -60,3 +63,10 @@ def small_machines():
 def mesh8():
     """An 8x8 mesh, the workhorse mid-size machine."""
     return build_mesh(8, 2)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Pin the CPU count at 2 so ``run_sweep(executor="parallel")`` forks
+    two fabric workers on any machine (on one CPU it runs serially)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)

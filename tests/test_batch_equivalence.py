@@ -309,7 +309,3 @@ class TestMeasureBandwidthMany:
     def test_replicate_batch_rejects_bad_measurement(self):
         with pytest.raises(ValueError):
             replicate(lambda seeds: [1.0], num_seeds=3, batch=True)
-        with pytest.raises(ValueError):
-            replicate(
-                lambda seeds: [1.0] * 3, num_seeds=3, batch=True, parallel=2
-            )

@@ -1,8 +1,8 @@
 """Tests for the sweep fabric: queue protocol, failure modes, snapshots.
 
-The failure-mode tests stage real crashes -- ``SIGKILL`` of a worker
-subprocess mid-job, a coordinator "restart" as a brand-new object on
-the same queue directory -- and assert the fabric's two contracts:
+The failure-mode tests stage real crashes -- ``SIGKILL`` of a forked
+worker mid-job, a coordinator "restart" as a brand-new object on the
+same queue directory -- and assert the fabric's two contracts:
 
 * **bit-identity**: a fabric sweep equals a serial sweep of the same
   grid, byte for byte, no matter what died along the way;
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -41,6 +43,8 @@ from repro.harness import (
     default_salt,
     run_sweep,
 )
+from repro.obs import MemorySink
+from repro.obs import trace as obs
 
 # -- job functions (imported by worker subprocesses) -------------------------
 
@@ -132,6 +136,33 @@ class TestWorkQueue:
         assert expired == [(lease.job_hash, "requeued")]
         release = queue.claim("w2")
         assert release.attempts == 2
+
+    def test_mid_claim_lease_ages_from_the_claim(self, tmp_path, monkeypatch):
+        """Until a claim writes its lease, the lease file is the renamed
+        pending marker (no heartbeat): it must age from the claim, not
+        from the enqueue, or a healthy claim is re-queued."""
+        import repro.fabric.queue as queue_module
+
+        queue = WorkQueue(tmp_path / "q", config=QueueConfig(lease_ttl=5.0))
+        job = _grid(1)[0]
+        queue.add(job)
+        enqueued = time.time() - 60.0
+        os.utime(queue.pending_dir / job.job_hash, (enqueued, enqueued))
+
+        class Died(Exception):
+            pass
+
+        def die(path, text):  # the claimer stops right after its rename
+            raise Died
+
+        monkeypatch.setattr(queue_module, "_write_atomic", die)
+        with pytest.raises(Died):
+            queue.claim("w1")
+        monkeypatch.undo()
+        assert (queue.leases_dir / job.job_hash).exists()
+        assert queue.expire_stale() == []
+        expired = queue.expire_stale(now=time.time() + 6.0)
+        assert expired == [(job.job_hash, "requeued")]
 
     def test_expire_stale_fails_terminally_past_budget(self, tmp_path):
         config = QueueConfig(lease_ttl=1.0, max_attempts=1)
@@ -244,6 +275,16 @@ class TestFabricSweep:
     def test_empty_grid(self):
         assert FabricExecutor(num_workers=2).run([]) == []
 
+    def test_spawns_no_more_workers_than_cells(self):
+        sink = MemorySink()
+        with obs.tracing(sink=sink):
+            sweep = run_sweep(_grid(2), executor=FabricExecutor(num_workers=4))
+        assert sweep.ok
+        spawned = [
+            e for e in sink.events if e.get("name") == "fabric.worker_spawned"
+        ]
+        assert len(spawned) == 2
+
 
 # -- failure modes: crashes mid-run ------------------------------------------
 
@@ -331,6 +372,28 @@ class TestFabricCrashes:
         assert queue.unsettled() == 0
         values = [queue.result(j.job_hash)["value"] for j in jobs]
         assert values == [double_job(j.spec) for j in jobs]
+
+
+class TestStandaloneWorker:
+    def test_module_entry_point_drains_a_shared_queue(self, tmp_path):
+        """``python -m repro.fabric.worker`` -- what a worker on another
+        host runs -- needs nothing but the queue directory."""
+        jobs = _grid(6)
+        queue = WorkQueue(tmp_path / "q")
+        for job in jobs:
+            queue.add(job)
+        queue.seal()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.fabric.worker", str(queue.root),
+             "--worker-id", "remote"],
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert queue.drained()
+        results = [queue.result(j.job_hash) for j in jobs]
+        assert [r["value"] for r in results] == [double_job(j.spec) for j in jobs]
+        assert {r["worker"] for r in results} == {"remote"}
 
 
 # -- snapshots ---------------------------------------------------------------

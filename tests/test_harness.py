@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-* a parallel sweep is **bit-identical** to the serial sweep (seeds live
-  in job specs, never in worker state);
+* a parallel sweep (forked fabric workers) is **bit-identical** to the
+  serial sweep (seeds live in job specs, never in worker state);
 * a repeated sweep is served from the result store without executing;
 * a stale code-version salt or a corrupted cache file is a miss, never
   a wrong answer or a crash.
@@ -12,20 +12,19 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
-from repro.experiments import replicate
 from repro.harness import (
     Job,
-    JobError,
-    ParallelExecutor,
     ResultStore,
     SerialExecutor,
     TransientJobError,
     canonical_json,
     expand_grid,
+    local_executor,
     resolve_job,
     run_sweep,
 )
@@ -213,13 +212,14 @@ class TestExecutors:
         assert results[0].attempts == 2
         assert "TransientJobError" in results[0].error
 
-    def test_transient_failures_retried_parallel(self, tmp_path):
+    def test_transient_failures_retried_parallel(self, tmp_path, two_cpus):
         job = Job(FLAKY, {"marker": str(tmp_path / "m3"), "fail_times": 1})
-        results = ParallelExecutor(max_workers=2, retries=2).run(
-            [job, Job(COUNTING, {"x": 1})]
-        )
+        sweep = run_sweep([job, Job(COUNTING, {"x": 1})], executor="parallel")
+        results = sweep.results
+        assert sweep.executor == "fabric[2]"
         assert all(r.ok for r in results)
         assert results[0].value == {"attempts": 2}
+        assert results[0].attempts == 2
         assert results[1].value == {"doubled": 2}
 
     def test_per_job_timeout_is_transient(self):
@@ -229,44 +229,36 @@ class TestExecutors:
         assert not results[0].ok and "timed out" in results[0].error
         assert results[1].ok, "a stuck cell must not wedge the sweep"
 
-    def test_max_workers_one_degrades_to_serial(self):
+    def test_max_workers_one_degrades_to_serial(self, monkeypatch, tmp_path):
+        """One worker is the in-process path: ``executor="parallel"`` on
+        one CPU, ``local_executor(1)`` and ``repro sweep --workers 1``."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         jobs = [Job(COUNTING, {"x": i}) for i in range(3)]
-        results = ParallelExecutor(max_workers=1).run(jobs)
-        assert [r.worker for r in results] == ["serial"] * 3
-        assert [r.value["doubled"] for r in results] == [0, 2, 4]
+        sweep = run_sweep(jobs, executor="parallel")
+        assert sweep.executor == "serial"
+        assert [r.worker for r in sweep.results] == ["serial"] * 3
+        assert [r.value["doubled"] for r in sweep.results] == [0, 2, 4]
+        assert isinstance(local_executor(1), SerialExecutor)
 
-    def test_parallel_seconds_exclude_pool_queue_wait(self):
-        """A pooled job's ``seconds`` is its run in the worker, not its
-        wait in the pool queue: two workers cannot be busy for more than
+        out = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", COUNTING, "--axis", "x=1,2", "--workers", "1",
+             "--quiet", "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["executor"] == "serial"
+        assert [r["worker"] for r in payload["results"]] == ["serial"] * 2
+
+    def test_parallel_seconds_exclude_pool_queue_wait(self, two_cpus):
+        """A parallel job's ``seconds`` is its run in the worker, not its
+        wait in the queue: two workers cannot be busy for more than
         twice the sweep's wall time."""
         jobs = expand_grid(SLEEPY, {"seconds": [0.04, 0.05, 0.06, 0.07], "copy": [0, 1]})
-        sweep = run_sweep(jobs, executor=ParallelExecutor(max_workers=2))
+        sweep = run_sweep(jobs, executor="parallel")
         assert sweep.ok, sweep.errors()
+        assert sweep.executor == "fabric[2]"
         assert sum(r.seconds for r in sweep.results) <= 2 * sweep.wall_seconds
-
-    def test_run_callable_parallel_matches_serial(self):
-        args = [(i,) for i in range(6)]
-        serial = SerialExecutor().run_callable(_square, args)
-        parallel = ParallelExecutor(max_workers=3).run_callable(_square, args)
-        assert serial == parallel == [0, 1, 4, 9, 16, 25]
-
-    def test_run_callable_unpicklable_degrades_to_serial(self):
-        ex = ParallelExecutor(max_workers=3)
-        values = ex.run_callable(lambda x: x + 1, [(i,) for i in range(4)])
-        assert values == [1, 2, 3, 4]
-        assert ex.degraded
-
-    def test_run_callable_raises_job_error(self):
-        with pytest.raises(JobError, match="ZeroDivisionError"):
-            SerialExecutor().run_callable(_reciprocal, [(0,)])
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-def _reciprocal(x: int) -> float:
-    return 1.0 / x
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +272,7 @@ ACCEPTANCE_AXES = {
 
 
 class TestAcceptanceSweep:
-    def test_parallel_sweep_bit_identical_and_cached(self, tmp_path):
+    def test_parallel_sweep_bit_identical_and_cached(self, tmp_path, two_cpus):
         jobs = expand_grid("measure_bandwidth", ACCEPTANCE_AXES)
         assert len(jobs) == 48
 
@@ -289,16 +281,17 @@ class TestAcceptanceSweep:
 
         parallel = run_sweep(
             jobs,
-            executor=ParallelExecutor(max_workers=4),
+            executor="parallel",
             store=ResultStore(tmp_path, salt="acceptance"),
         )
         assert parallel.ok, parallel.errors()
+        assert parallel.executor == "fabric[2]"
         # Bit-identical, not approximately equal: compare canonical JSON.
         assert canonical_json(parallel.values) == canonical_json(serial.values)
 
         again = run_sweep(
             jobs,
-            executor=ParallelExecutor(max_workers=4),
+            executor="parallel",
             store=ResultStore(tmp_path, salt="acceptance"),
         )
         assert again.cache_hit_rate >= 0.95
@@ -363,29 +356,20 @@ class TestSweepFrontEnd:
         assert code == 1
         assert "ERROR" in capsys.readouterr().out
 
-
-# ---------------------------------------------------------------------------
-# replicate()'s executor path
-
-
-def _seed_squared(seed: int) -> float:
-    return float(seed * seed)
-
-
-class TestReplicateParallel:
-    def test_parallel_replication_bit_identical(self):
-        serial = replicate(_seed_squared, num_seeds=6, base_seed=2)
-        fanned = replicate(_seed_squared, num_seeds=6, base_seed=2, parallel=3)
-        assert fanned.values == serial.values
-
-    def test_explicit_executor(self):
-        ex = SerialExecutor()
-        rep = replicate(_seed_squared, num_seeds=3, executor=ex)
-        assert rep.values == (0.0, 1.0, 4.0)
-
-    def test_unpicklable_measurement_degrades(self):
-        offset = 10.0
-        rep = replicate(
-            lambda seed: seed + offset, num_seeds=3, parallel=2
+    @pytest.mark.parametrize("retries,ok", [(2, True), (1, False)])
+    def test_cli_sweep_workers_retry_on_the_fabric(self, tmp_path, retries, ok):
+        """``--workers 2`` runs on the fabric; ``--retries R`` allows
+        R + 1 attempts, so a cell that fails twice needs ``--retries 2``."""
+        out = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", FLAKY, "--axis", f"marker={tmp_path / 'marks'}",
+             "--axis", "fail_times=2", "--workers", "2",
+             "--retries", str(retries), "--quiet", "--out", str(out)]
         )
-        assert rep.values == (10.0, 11.0, 12.0)
+        assert code == (0 if ok else 1)
+        payload = json.loads(out.read_text())
+        assert payload["executor"] == "fabric[2]"
+        (cell,) = payload["results"]
+        assert cell["worker"].startswith("fabric:")
+        assert cell["attempts"] == retries + 1
+        assert (cell["error"] is None) == ok

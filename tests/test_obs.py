@@ -11,21 +11,25 @@ The load-bearing guarantees:
 * a fixed-seed ``measure_bandwidth`` produces the same span tree every
   run, so traces are diffable artifacts like everything else here;
 * the service echoes ``meta.trace_id`` and folds span stats into
-  ``/metrics``; sweeps surface per-job retry/timeout totals.
+  ``/metrics``; sweeps surface per-job retry/timeout totals;
+* a forked process starts with no tracer, so a traced parallel sweep
+  writes every parent event exactly once.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import pytest
 
+from repro.cli import main
 from repro.harness import (
     Job,
-    ParallelExecutor,
     ResultStore,
     SerialExecutor,
+    local_executor,
     run_sweep,
 )
 from repro.obs import (
@@ -418,14 +422,16 @@ class TestSweepRetryTimeoutTotals:
         assert serial.num_failed == 1
         assert serial.num_timeouts == 2  # both attempts hit the deadline
         assert serial.num_retries == 1
-        # two jobs + two workers so the true pool path runs (one job or
-        # one worker short-circuits to the serial executor)
+        # two jobs + two workers so each fabric worker times out a cell
+        # (one worker runs in process, on the serial executor)
         pair = [Job(SLEEPY, {"seconds": 5.0}), Job(SLEEPY, {"seconds": 6.0})]
         parallel = run_sweep(
-            pair, executor=ParallelExecutor(max_workers=2, timeout=0.05, retries=0)
+            pair, executor=local_executor(2, timeout=0.05, retries=1)
         )
+        assert parallel.executor == "fabric[2]"
         assert parallel.num_failed == 2
-        assert parallel.num_timeouts == 2
+        assert parallel.num_timeouts == 4  # both attempts of both cells
+        assert parallel.num_retries == 2
 
     def test_job_lifecycle_events_when_traced(self, tmp_path):
         marker = tmp_path / "marks"
@@ -456,6 +462,46 @@ class TestSweepRetryTimeoutTotals:
         assert sweep.num_cached == 1
         hits = [e for e in sink.events if e.get("name") == "job.cache_hit"]
         assert hits and hits[0]["tier"] == "store"
+
+
+class TestTracerAcrossFork:
+    def test_forked_child_starts_untraced(self, tmp_path):
+        path = tmp_path / "fork.jsonl"
+        with obs.tracing(path):
+            obs.event("before.fork")
+            pid = os.fork()
+            if pid == 0:  # the child: report whether a tracer came along
+                os._exit(0 if obs.get_tracer() is None else 1)
+            _, status = os.waitpid(pid, 0)
+            assert obs.enabled(), "the parent keeps its tracer"
+        assert os.waitstatus_to_exitcode(status) == 0
+        names = [e.get("name") for e in read_events(path)]
+        assert names.count("before.fork") == 1
+
+    def test_traced_parallel_sweep_logs_each_event_once(self, tmp_path):
+        """Forked workers must not re-write the parent's buffered trace
+        lines: one ``sweep.started``, one root, a file that parses."""
+        path = tmp_path / "sweep.jsonl"
+        code = main(
+            ["sweep", "measure_bandwidth",
+             "--families", "linear_array", "tree", "mesh_2", "de_bruijn",
+             "--sizes", "16", "32", "--seeds", "10",
+             "--workers", "2", "--quiet", "--trace", str(path)]
+        )
+        assert code == 0
+        events = list(read_events(path))  # raises on an interleaved line
+        names = [e.get("name") for e in events if e.get("type") == "event"]
+        assert names.count("sweep.started") == 1
+        assert names.count("sweep.finished") == 1
+        roots = [
+            e for e in events
+            if e.get("type") == "span" and e.get("parent") == 0
+        ]
+        assert [r["name"] for r in roots] == ["cli.sweep"]
+        report = load_report(path)
+        assert report.num_spans == len(
+            [e for e in events if e.get("type") == "span"]
+        )
 
 
 class TestStoreStatsThreadSafety:

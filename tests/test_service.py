@@ -2,8 +2,8 @@
 
 The module-scoped server backs the endpoint/contract tests; failure
 modes that need their own lifecycle (graceful shutdown) or no socket at
-all (schema validation, TTL cache, request timeouts) get dedicated
-fixtures or direct ``QueryService.handle`` calls.
+all (schema validation, TTL cache) get dedicated fixtures or direct
+``QueryService.handle`` calls.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.harness import ResultStore
 from repro.service import (
     ApiError,
     Field,
@@ -86,6 +85,28 @@ class TestEndpoints:
         assert status == 200
         assert stored["meta"]["cache"] == "store"
         assert stored["result"] == cold["result"]
+
+    def test_replicated_bandwidth_equals_one_request_per_seed(self, server):
+        status, many = _request(
+            server, "GET",
+            "/v1/bandwidth?family=tree&size=32&seed=5&replicates=3",
+        )
+        assert status == 200
+        singles = []
+        for seed in (5, 6, 7):
+            status, one = _request(
+                server, "GET", f"/v1/bandwidth?family=tree&size=32&seed={seed}"
+            )
+            assert status == 200
+            singles.append(one["result"]["rate"])
+        assert many["result"]["rates"] == singles
+        # The batching switch is gone: it is an unknown parameter now.
+        status, payload = _request(
+            server, "GET",
+            "/v1/bandwidth?family=tree&size=32&replicates=3&batch=0",
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "unknown_parameter"
 
     def test_warm_query_much_faster_than_cold(self, server):
         path = "/v1/bandwidth?family=mesh_2&size=256"
@@ -334,20 +355,6 @@ class TestGracefulShutdown:
             assert srv.begin_request() is False
         finally:
             srv.server_close()
-
-
-class TestRequestTimeout:
-    def test_main_thread_timeout_maps_to_504(self, tmp_path):
-        """On the main thread the harness SIGALRM deadline is live: a
-        too-slow cold compute answers 504 with a timeout error code."""
-        service = QueryService(
-            store=ResultStore(tmp_path), timeout=0.005
-        )
-        status, payload = service.handle(
-            "GET", "/v1/bandwidth", {"family": "mesh_2", "size": "400"}
-        )
-        assert status == 504
-        assert payload["error"]["code"] == "timeout"
 
 
 class TestTTLCache:

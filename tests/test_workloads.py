@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from repro.fabric import FabricExecutor
-from repro.harness import (
-    Job,
-    ParallelExecutor,
-    SerialExecutor,
-    run_sweep,
-)
+from repro.harness import Job, SerialExecutor, run_sweep
 from repro.routing import compiled as compiled_backend
 from repro.routing import measure_bandwidth, saturation_sweep
 from repro.topologies import family_spec
@@ -263,13 +258,11 @@ WORKLOAD_DETERMINISM_JOBS = [
 class TestExecutorDeterminism:
     """Same (workload, seed) -> identical values on every executor."""
 
-    def test_serial_parallel_fabric_identical(self):
+    def test_serial_parallel_fabric_identical(self, two_cpus):
         serial = run_sweep(WORKLOAD_DETERMINISM_JOBS, executor=SerialExecutor())
         assert serial.ok
-        parallel = run_sweep(
-            WORKLOAD_DETERMINISM_JOBS,
-            executor=ParallelExecutor(max_workers=4),
-        )
+        parallel = run_sweep(WORKLOAD_DETERMINISM_JOBS, executor="parallel")
+        assert parallel.executor == "fabric[2]"
         fabric = run_sweep(
             WORKLOAD_DETERMINISM_JOBS,
             executor=FabricExecutor(num_workers=2),
