@@ -22,6 +22,12 @@ Commands:
 * ``trace``       -- aggregate a span trace file into a timing report;
 * ``reproduce``   -- run every experiment and write JSON artifacts.
 
+The query commands (``bandwidth``, ``saturation``, ``emulate``,
+``catalog``, ``families``, ``workloads``) take their arguments from
+:data:`repro.operations.OPERATIONS`, the table the service's routes
+come from, and validate them through the same schemas: out-of-range
+input stops with the service's message as one ``error: ...`` line.
+
 ``bandwidth``, ``saturation``, ``emulate``, ``sweep``, and ``serve``
 accept ``--trace FILE``: the run executes under the observability
 tracer (:mod:`repro.obs`) with one root ``cli.<command>`` span, and the
@@ -39,17 +45,14 @@ import time
 from repro.bandwidth import beta_bracket, beta_value
 from repro.emulation import Emulator
 from repro.experiments import replicate
+from repro.operations import OPERATIONS, Field, catalog_jobs, client_error
 from repro.routing import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    EngineUnavailableError,
     measure_bandwidth,
     measure_bandwidth_many,
     saturation_sweep,
 )
 from repro.theory import (
     figure1_data,
-    full_catalog,
     generate_table1,
     generate_table2,
     generate_table3,
@@ -61,41 +64,63 @@ from repro.util import format_table
 __all__ = ["main"]
 
 
-def _family(key: str):
-    """``family_spec`` with CLI-friendly failure: clean message, exit 1."""
-    try:
-        return family_spec(key)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-
-
-def _workload(key: str):
-    """``workload_spec`` with CLI-friendly failure: clean message, exit 1."""
-    from repro.workloads import workload_spec
-
-    try:
-        return workload_spec(key)
-    except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-
-
-def _cli_workload(args, n: int):
-    """``--workload``/``--workload-param`` -> a built Workload, or None."""
-    key = getattr(args, "workload", None)
-    raw = dict(
-        _parse_kv(item, "--workload-param")
-        for item in getattr(args, "workload_param", None) or []
+def _add_field(parser: argparse.ArgumentParser, field: Field) -> None:
+    """One argument for a schema field: positional when required, else
+    ``--dashed``.  Values stay text until :func:`_params` runs them
+    through the schema, which types, bounds and reports them."""
+    kwargs = {"help": field.help, "choices": field.choices}
+    if field.kind.endswith("_list"):
+        kwargs["nargs"] = "+"
+    if field.required:
+        parser.add_argument(field.name, **kwargs)
+        return
+    if field.default is not None:
+        kwargs["help"] += " (default: %(default)s)"
+    parser.add_argument(
+        "--" + field.name.replace("_", "-"), dest=field.name,
+        default=field.default, **kwargs,
     )
-    params = {k: _parse_scalar(v) for k, v in raw.items()}
+
+
+def _add_operation(sub, name: str, fn, skip: tuple[str, ...] = ()):
+    """The ``name`` subcommand with one argument per field of the
+    operation's schema (:data:`repro.operations.OPERATIONS`)."""
+    op = OPERATIONS[name]
+    parser = sub.add_parser(name, help=op.help)
+    for field in op.schema.fields.values() if op.schema else ():
+        if field.name not in skip:
+            _add_field(parser, field)
+    parser.set_defaults(fn=fn, op=op)
+    return parser
+
+
+def _params(args, **raw) -> dict:
+    """The parsed arguments (plus ``raw``), validated by the command's
+    schema: the service's types, defaults, bounds and messages."""
+    schema = args.op.schema
+    raw.update(
+        (name, value) for name, value in vars(args).items()
+        if name in schema.fields and value is not None
+    )
+    return schema.validate(raw)
+
+
+def _cli_workload(key: str | None, overrides: list[str] | None, n: int):
+    """A validated ``--workload`` key with its ``--workload-param``
+    overrides -> a built Workload, or None."""
+    params = {
+        k: _parse_scalar(v)
+        for k, v in (
+            _parse_kv(item, "--workload-param") for item in overrides or []
+        )
+    }
     if key is None:
         if params:
-            raise SystemExit("--workload-param given without --workload")
+            raise SystemExit("error: --workload-param given without --workload")
         return None
-    spec = _workload(key)
-    try:
-        return spec.build_with_size(n, **params)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from None
+    from repro.workloads import workload_spec
+
+    return workload_spec(key).build_with_size(n, **params)
 
 
 @contextlib.contextmanager
@@ -160,18 +185,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quiet", action="store_true", help="no progress lines")
 
 
-def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workload", default=None, metavar="KEY",
-        help="traffic scenario key (list them: 'python -m repro workloads')",
-    )
-    parser.add_argument(
-        "--workload-param", action="append", dest="workload_param",
-        metavar="KEY=VALUE",
-        help="scenario parameter override, e.g. hot_fraction=0.7 (repeatable)",
-    )
-
-
 def _cmd_families(args) -> int:
     if args.json:
         from repro.service.serializers import families_payload
@@ -226,8 +239,9 @@ def _cmd_tables(_args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    _family(args.guest)
-    _family(args.host)
+    fields = OPERATIONS["emulate"].schema.fields
+    fields["guest"].coerce(args.guest)
+    fields["host"].coerce(args.host)
     f1 = figure1_data(args.guest, args.host, args.n)
     print(
         format_table(
@@ -247,31 +261,35 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
+    p = _params(args)
+    engine = p["engine"]
     with _traced(args, "cli.bandwidth"):
-        machine = _family(args.family).build_with_size(args.size)
-        workload = _cli_workload(args, machine.num_nodes)
+        machine = family_spec(p["family"]).build_with_size(p["size"])
+        workload = _cli_workload(
+            p.get("workload"), args.workload_param, machine.num_nodes
+        )
         br = beta_bracket(machine)
         meas = measure_bandwidth(
-            machine, seed=args.seed, engine=args.engine, workload=workload
+            machine, seed=p["seed"], engine=engine, workload=workload
         )
         rep = None
-        if args.replicates > 1:
+        if p["replicates"] > 1:
             rep = replicate(
                 lambda seeds: [
                     m.rate
                     for m in measure_bandwidth_many(
-                        machine, seeds, engine=args.engine, workload=workload
+                        machine, seeds, engine=engine, workload=workload
                     )
                 ],
-                num_seeds=args.replicates,
-                base_seed=args.seed,
+                num_seeds=p["replicates"],
+                base_seed=p["seed"],
                 batch=True,
             )
-    print(f"machine: {machine!r} [engine={args.engine}]")
+    print(f"machine: {machine!r} [engine={engine}]")
     if workload is not None:
         print(f"workload: {workload!r}")
-    print(f"closed form beta:  {beta_value(args.family, machine.num_nodes):.2f} "
-          f"(Theta({family_spec(args.family).beta}))")
+    print(f"closed form beta:  {beta_value(p['family'], machine.num_nodes):.2f} "
+          f"(Theta({family_spec(p['family']).beta}))")
     print(f"certified bracket: [{br.lower:.2f}, {br.upper:.2f}]")
     print(f"measured rate:     {meas.rate:.2f} packets/tick "
           f"({meas.num_messages} msgs in {meas.total_time} ticks)")
@@ -283,18 +301,21 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_saturation(args) -> int:
+    p = _params(args)
     with _traced(args, "cli.saturation"):
-        machine = _family(args.family).build_with_size(args.size)
-        workload = _cli_workload(args, machine.num_nodes)
+        machine = family_spec(p["family"]).build_with_size(p["size"])
+        workload = _cli_workload(
+            p.get("workload"), args.workload_param, machine.num_nodes
+        )
         points = saturation_sweep(
             machine,
-            rates=args.rates or None,
-            duration=args.duration,
-            seed=args.seed,
-            engine=args.engine,
+            rates=p.get("rates"),
+            duration=p["duration"],
+            seed=p["seed"],
+            engine=p["engine"],
             workload=workload,
         )
-    title = f"Offered-load sweep: {machine!r} [engine={args.engine}]"
+    title = f"Offered-load sweep: {machine!r} [engine={p['engine']}]"
     if workload is not None:
         title += f" [workload={workload.key}]"
     print(
@@ -317,11 +338,12 @@ def _cmd_saturation(args) -> int:
 
 
 def _cmd_emulate(args) -> int:
+    p = _params(args)
     with _traced(args, "cli.emulate"):
         t0 = time.perf_counter()
-        guest = _family(args.guest).build_with_size(args.guest_size)
-        host = _family(args.host).build_with_size(args.host_size)
-        rep = Emulator(guest, host, seed=args.seed).run(args.steps)
+        guest = family_spec(p["guest"]).build_with_size(p["guest_size"])
+        host = family_spec(p["host"]).build_with_size(p["host_size"])
+        rep = Emulator(guest, host, seed=p["seed"]).run(p["steps"])
         wall = time.perf_counter() - t0
     print(rep)
     print(f"inefficiency I = {rep.inefficiency:.2f} "
@@ -333,28 +355,21 @@ def _cmd_emulate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    from repro.service.serializers import DEFAULT_CATALOG_KEYS
-
-    keys = list(args.families) or list(DEFAULT_CATALOG_KEYS)
-    for key in keys:
-        _family(key)
-    workload = args.workload
-    if workload is not None:
-        _workload(workload)
+    # The positional family list fills both axes; none means the default set.
+    both = {"guests": args.families, "hosts": args.families} if args.families else {}
+    p = _params(args, **both)
+    workload = p.get("workload")
+    cells = [job.run() for job in catalog_jobs(p)]
     if args.json:
-        from repro.service.serializers import catalog_cells, catalog_payload
+        from repro.service.serializers import catalog_payload
 
-        payload = catalog_payload(
-            keys, keys, catalog_cells(keys, keys, workload=workload),
-            workload=workload,
-        )
+        payload = catalog_payload(p["guests"], p["hosts"], cells, workload=workload)
         print(json.dumps(payload, indent=2))
         return 0
-    entries = full_catalog(guests=keys, hosts=keys, workload=workload)
-    cells = {(e.guest_key, e.host_key): str(e.bound.expr) for e in entries}
-    rows = [[g] + [cells[(g, h)] for h in keys] for g in keys]
+    exprs = iter(cell["expr"] for cell in cells)
+    rows = [[g] + [next(exprs) for _ in p["hosts"]] for g in p["guests"]]
     title = f"workload: {workload}" if workload else None
-    print(format_table(["guest \\ host"] + keys, rows, title=title))
+    print(format_table(["guest \\ host"] + p["hosts"], rows, title=title))
     return 0
 
 
@@ -397,7 +412,7 @@ def _parse_kv(item: str, flag: str) -> tuple[str, str]:
 
 def _grid_jobs(args) -> list:
     """Expand the shared ``--families/--sizes/--seeds/--axis/--set`` grid
-    arguments into a job list, with CLI-friendly failures."""
+    arguments into a job list."""
     from repro.harness import expand_grid
 
     axes: dict[str, list] = {}
@@ -418,10 +433,7 @@ def _grid_jobs(args) -> list:
         raise SystemExit(
             "no axes given; use --families/--sizes/--seeds or --axis key=v1,v2"
         )
-    try:
-        return expand_grid(args.job, axes, base)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    return expand_grid(args.job, axes, base)
 
 
 def _print_sweep(args, jobs, sweep, resumed: bool = False) -> None:
@@ -516,37 +528,26 @@ def _cmd_fabric_run(args) -> int:
 
 
 def _snapshot_grid(args) -> list:
-    """The (family x size x seed) bandwidth cells + every catalog cell."""
-    from repro.harness import Job
-    from repro.service.serializers import DEFAULT_CATALOG_KEYS
-
-    families = list(args.families) or list(DEFAULT_CATALOG_KEYS)
-    for key in families:
-        _family(key)
-    jobs = []
-    for guest in families:
-        for host in families:
-            jobs.append(Job("catalog_cell", {"guest": guest, "host": host}))
-    for family in families:
+    """Every catalog cell + the (family x size x seed) bandwidth cells,
+    built by the service's own operations so a snapshot cell and the
+    matching query share a job hash."""
+    both = {"guests": args.families, "hosts": args.families} if args.families else {}
+    catalog = OPERATIONS["catalog"].schema.validate(both)
+    bandwidth = OPERATIONS["bandwidth"]
+    jobs = catalog_jobs(catalog)
+    for family in catalog["guests"]:
         for size in args.sizes:
             for seed in range(args.seeds):
-                jobs.append(
-                    Job(
-                        "measure_bandwidth",
-                        {
-                            "family": family,
-                            "size": size,
-                            "seed": seed,
-                            "engine": args.engine,
-                        },
-                    )
-                )
+                params = bandwidth.schema.validate({
+                    "family": family, "size": size, "seed": seed,
+                    "engine": args.engine,
+                })
+                jobs.append(bandwidth.job(params))
     return jobs
 
 
 def _cmd_snapshot_build(args) -> int:
     from repro.fabric import FabricExecutor, build_snapshot
-    from repro.fabric.snapshot import SnapshotError
     from repro.harness import ResultStore, SerialExecutor, run_sweep
 
     jobs = _snapshot_grid(args)
@@ -566,20 +567,17 @@ def _cmd_snapshot_build(args) -> int:
                 f"error: {sweep.num_failed} cells failed; first: "
                 f"{first_job.label()}: {error}"
             )
-        try:
-            meta = build_snapshot(
-                sweep.results,
-                args.out,
-                extra_meta={
-                    "families": sorted(
-                        {j.spec["family"] for j in jobs if "family" in j.spec}
-                    ),
-                    "sizes": list(args.sizes),
-                    "seeds": args.seeds,
-                },
-            )
-        except SnapshotError as exc:
-            raise SystemExit(f"error: {exc}") from None
+        meta = build_snapshot(
+            sweep.results,
+            args.out,
+            extra_meta={
+                "families": sorted(
+                    {j.spec["family"] for j in jobs if "family" in j.spec}
+                ),
+                "sizes": list(args.sizes),
+                "seeds": args.seeds,
+            },
+        )
     print(
         f"snapshot {args.out}: {meta['num_records']} cells "
         f"({sweep.num_cached} from store, "
@@ -592,13 +590,9 @@ def _cmd_snapshot_build(args) -> int:
 
 def _cmd_snapshot_info(args) -> int:
     from repro.fabric import CatalogSnapshot
-    from repro.fabric.snapshot import SnapshotError
 
-    try:
-        with CatalogSnapshot(args.file) as snap:
-            info = snap.info()
-    except SnapshotError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    with CatalogSnapshot(args.file) as snap:
+        info = snap.info()
     if args.json:
         print(json.dumps(info, indent=2))
         return 0
@@ -610,56 +604,31 @@ def _cmd_snapshot_info(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.fabric.snapshot import SnapshotError
-
     if args.workers < 1:
         raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
-    try:
-        if args.workers > 1:
-            from repro.service.prefork import (
-                PreforkUnavailableError,
-                serve_prefork,
-            )
+    options = dict(
+        host=args.host,
+        port=args.port,
+        store=args.store,
+        cache_size=args.cache_size,
+        ttl=args.ttl,
+        max_workers=args.max_workers,
+        verbose=args.verbose,
+        drain_timeout=args.drain_timeout,
+        trace=args.trace,
+        snapshot=args.snapshot,
+    )
+    if args.workers > 1:
+        from repro.service.prefork import serve_prefork
 
-            try:
-                return serve_prefork(
-                    host=args.host,
-                    port=args.port,
-                    workers=args.workers,
-                    store=args.store,
-                    cache_size=args.cache_size,
-                    ttl=args.ttl,
-                    max_workers=args.max_workers,
-                    verbose=args.verbose,
-                    drain_timeout=args.drain_timeout,
-                    trace=args.trace,
-                    snapshot=args.snapshot,
-                    metrics_dir=args.metrics_dir,
-                )
-            except PreforkUnavailableError as exc:
-                # No SO_REUSEPORT and no usable fallback on this
-                # platform: one clean line, not a traceback.
-                raise SystemExit(f"error: {exc}") from None
-        # --workers 1 is byte-identical to the pre-prefork single
-        # process path: same serve(), same defaults, same output.
-        from repro.service.server import serve
-
-        return serve(
-            host=args.host,
-            port=args.port,
-            store=args.store,
-            cache_size=args.cache_size,
-            ttl=args.ttl,
-            max_workers=args.max_workers,
-            verbose=args.verbose,
-            drain_timeout=args.drain_timeout,
-            trace=args.trace,
-            snapshot=args.snapshot,
+        return serve_prefork(
+            workers=args.workers, metrics_dir=args.metrics_dir, **options
         )
-    except SnapshotError as exc:
-        # A bad --snapshot file fails at boot with one clean line, not a
-        # traceback (and never silently serves stale/corrupt cells).
-        raise SystemExit(f"error: {exc}") from None
+    # --workers 1 is byte-identical to the pre-prefork single process
+    # path: same serve(), same defaults, same output.
+    from repro.service.server import serve
+
+    return serve(**options)
 
 
 def _cmd_loadtest(args) -> int:
@@ -734,8 +703,6 @@ def _cmd_trace(args) -> int:
         report = load_report(args.file)
     except FileNotFoundError:
         raise SystemExit(f"error: no such trace file: {args.file}") from None
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -758,19 +725,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    fam = sub.add_parser("families", help="list machine families")
+    fam = _add_operation(sub, "families", _cmd_families)
     fam.add_argument(
         "--json", action="store_true",
         help="machine-readable output (same shape as GET /v1/families)",
     )
-    fam.set_defaults(fn=_cmd_families)
 
-    wl = sub.add_parser("workloads", help="list traffic scenarios")
+    wl = _add_operation(sub, "workloads", _cmd_workloads)
     wl.add_argument(
         "--json", action="store_true",
         help="machine-readable output (same shape as GET /v1/workloads)",
     )
-    wl.set_defaults(fn=_cmd_workloads)
 
     sub.add_parser("tables", help="print Tables 1-4").set_defaults(fn=_cmd_tables)
 
@@ -780,69 +745,27 @@ def build_parser() -> argparse.ArgumentParser:
     f1.add_argument("--n", type=int, default=2**14)
     f1.set_defaults(fn=_cmd_figure1)
 
-    bw = sub.add_parser("bandwidth", help="measure a machine's bandwidth")
-    bw.add_argument("family")
-    bw.add_argument("--size", type=int, default=256)
-    bw.add_argument("--seed", type=int, default=0)
-    bw.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="also replicate the measurement over this many seeds "
-        "(batched kernel) and report mean/p50 with a 95%% CI",
-    )
-    bw.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="simulator engine (all give identical results; "
-        "see docs/PERFORMANCE.md for when each wins)",
-    )
-    _add_workload_flags(bw)
-    _add_trace_flag(bw)
-    bw.set_defaults(fn=_cmd_bandwidth)
+    for name, fn in (("bandwidth", _cmd_bandwidth), ("saturation", _cmd_saturation)):
+        parser = _add_operation(sub, name, fn)
+        parser.add_argument(
+            "--workload-param", action="append", dest="workload_param",
+            metavar="KEY=VALUE",
+            help="scenario parameter override, e.g. hot_fraction=0.7 "
+            "(repeatable)",
+        )
+        _add_trace_flag(parser)
 
-    sat = sub.add_parser("saturation", help="offered-load saturation sweep")
-    sat.add_argument("family")
-    sat.add_argument("--size", type=int, default=64)
-    sat.add_argument("--seed", type=int, default=0)
-    sat.add_argument("--duration", type=int, default=128)
-    sat.add_argument(
-        "--rates", type=float, nargs="*", help="offered per-node rates in (0, 1]"
-    )
-    sat.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="simulator engine (all give identical results; "
-        "see docs/PERFORMANCE.md for when each wins)",
-    )
-    _add_workload_flags(sat)
-    _add_trace_flag(sat)
-    sat.set_defaults(fn=_cmd_saturation)
+    _add_trace_flag(_add_operation(sub, "emulate", _cmd_emulate))
 
-    em = sub.add_parser("emulate", help="emulate guest on host")
-    em.add_argument("guest")
-    em.add_argument("host")
-    em.add_argument("--guest-size", type=int, default=256)
-    em.add_argument("--host-size", type=int, default=64)
-    em.add_argument("--steps", type=int, default=4)
-    em.add_argument("--seed", type=int, default=0)
-    _add_trace_flag(em)
-    em.set_defaults(fn=_cmd_emulate)
-
-    cat = sub.add_parser("catalog", help="guest x host matrix")
-    cat.add_argument("families", nargs="*")
+    cat = _add_operation(sub, "catalog", _cmd_catalog, skip=("guests", "hosts"))
+    cat.add_argument(
+        "families", nargs="*",
+        help="family keys for both axes (default: a representative set)",
+    )
     cat.add_argument(
         "--json", action="store_true",
         help="machine-readable output (same shape as GET /v1/catalog)",
     )
-    cat.add_argument(
-        "--workload", default=None, metavar="KEY",
-        help="compute the matrix under a traffic scenario (non-quasi-"
-        "symmetric scenarios relax every cell to the trivial O(n) cap)",
-    )
-    cat.set_defaults(fn=_cmd_catalog)
 
     from repro.harness.jobs import BUILTIN_JOBS
 
@@ -942,12 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=1, metavar="N",
         help="bandwidth cell seeds 0..N-1",
     )
-    snb.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
-        help="simulator engine for the bandwidth cells",
-    )
+    _add_field(snb, OPERATIONS["bandwidth"].schema.fields["engine"])
     snb.add_argument(
         "--workers", type=int, default=4,
         help="fabric workers (1 = compute serially in-process)",
@@ -1105,13 +1023,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EngineUnavailableError as exc:
-        # --engine compiled without a C toolchain: one clean
-        # line (the probe's reason), not a traceback.
-        raise SystemExit(f"error: {exc}") from None
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
+    except Exception as exc:
+        # Input a schema rejects, a domain ValueError (a bad snapshot,
+        # a spec the computation refuses) or a capability this host
+        # lacks: one clean line, exit 1.  Anything else is a bug.
+        if client_error(exc) is None:
+            raise
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ import numpy as np
 from repro.routing.engine import flatten_legs
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
+from repro.util.validation import UnavailableError
 
 __all__ = [
     "KERNEL_STATUS_OK",
@@ -51,8 +52,10 @@ KERNEL_STATUS_OK = 0
 KERNEL_STATUS_OVERRUN = 1  # hit max_ticks with packets still undelivered
 
 
-class EngineUnavailableError(RuntimeError):
+class EngineUnavailableError(UnavailableError):
     """``engine="compiled"`` was requested but no provider works."""
+
+    code = "engine_unavailable"
 
 
 # -- provider discovery --------------------------------------------------------

@@ -8,12 +8,14 @@ per-endpoint metrics with latency percentiles, a worker cap, and
 graceful drain on SIGTERM.  Start it with ``python -m repro serve``;
 see ``docs/SERVICE.md`` for the endpoint and error-code reference.
 
-Layering: :mod:`schemas` (validation) -> :mod:`app` (dispatch + cache +
-compute via :mod:`repro.harness`) -> :mod:`server` (HTTP transport);
+Layering: :mod:`repro.operations` (the request schemas and jobs, shared
+with the CLI) -> :mod:`app` (dispatch + cache + compute via
+:mod:`repro.harness`) -> :mod:`server` (HTTP transport);
 :mod:`cache`/:mod:`metrics` are the service-local state,
 :mod:`serializers` is shared with the CLI ``--json`` flags.
 """
 
+from repro.operations import MAX_MACHINE_SIZE, ApiError, Field, Schema
 from repro.service.app import QueryService
 from repro.service.cache import CacheStats, TTLCache
 from repro.service.metrics import ServiceMetrics, percentile
@@ -23,7 +25,6 @@ from repro.service.prefork import (
     choose_strategy,
     serve_prefork,
 )
-from repro.service.schemas import MAX_MACHINE_SIZE, ApiError, Field, Schema
 from repro.service.server import ServiceServer, create_server, serve
 
 __all__ = [

@@ -18,15 +18,16 @@ Endpoints::
     POST /v1/emulate              run a guest-on-host emulation
     POST /v1/saturation           offered-load saturation sweep
 
-Compute endpoints funnel through :meth:`QueryService._run_job`: the
-validated request *is* a harness job spec, so the job's content hash
-keys every cache tier -- the optional memory-mapped
-:class:`~repro.fabric.snapshot.CatalogSnapshot` (precomputed cells,
-consulted first so snapshotted queries never touch the compute path),
-the in-process :class:`~repro.service.cache.TTLCache`, then the on-disk
-:class:`~repro.harness.store.ResultStore` -- and a cold request
-executes through the harness :class:`SerialExecutor`, once (no
-retries).  Concurrent cold requests for the same job
+The ``/v1`` routes, their schemas and their jobs come from
+:data:`repro.operations.OPERATIONS`.  Compute endpoints funnel through
+:meth:`QueryService._run_job`: the validated request maps to a harness
+job, so the job's content hash keys every cache tier -- the optional
+memory-mapped :class:`~repro.fabric.snapshot.CatalogSnapshot`
+(precomputed cells, consulted first so snapshotted queries never touch
+the compute path), the in-process
+:class:`~repro.service.cache.TTLCache`, then the on-disk
+:class:`~repro.harness.store.ResultStore` -- and a cold request runs
+the job in process, once.  Concurrent cold requests for the same job
 hash are **single-flighted** (:class:`~repro.service.cache.SingleFlight`):
 one computes, the rest wait and share the value.  Responses carry a
 ``meta.cache`` field (``"snapshot"``, ``"memory"``, ``"store"``,
@@ -37,31 +38,32 @@ answered.
 There is no per-request compute deadline: the harness deadline is
 ``SIGALRM``-based and cannot be armed off the main thread, where the
 threaded HTTP front-end runs every request.  The request-size bounds in
-:mod:`repro.service.schemas` are what keep a request's compute small.
+:mod:`repro.operations` are what keep a request's compute small.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import time
 from typing import Any, Mapping
 
 from repro import __version__
-from repro.harness import Job, ResultStore, SerialExecutor
+from repro.harness import Job, ResultStore
 from repro.obs import trace as obs
+from repro.operations import (
+    OPERATIONS,
+    ApiError,
+    Operation,
+    Schema,
+    catalog_jobs,
+    client_error,
+)
 from repro.service import serializers
 from repro.service.cache import SingleFlight, TTLCache
 from repro.service.metrics import ServiceMetrics
-from repro.service.schemas import (
-    BANDWIDTH_SCHEMA,
-    CATALOG_SCHEMA,
-    EMULATE_SCHEMA,
-    SATURATION_SCHEMA,
-    ApiError,
-    Schema,
-)
 
 __all__ = ["QueryService"]
 
@@ -90,24 +92,25 @@ class QueryService:
         self.cache = TTLCache(maxsize=cache_size, ttl=ttl)
         self.flight = SingleFlight()
         self.metrics = ServiceMetrics()
-        self.executor = SerialExecutor(retries=0)
         self.started = time.monotonic()
         self._routes: dict[str, dict[str, tuple[Schema | None, Any]]] = {
             "/healthz": {"GET": (None, self._h_healthz)},
             "/metrics": {"GET": (None, self._h_metrics)},
-            "/v1/families": {"GET": (None, self._h_families)},
-            "/v1/workloads": {"GET": (None, self._h_workloads)},
-            "/v1/bandwidth": {"GET": (BANDWIDTH_SCHEMA, self._h_bandwidth)},
-            "/v1/catalog": {"GET": (CATALOG_SCHEMA, self._h_catalog)},
-            "/v1/emulate": {"POST": (EMULATE_SCHEMA, self._h_emulate)},
-            "/v1/saturation": {"POST": (SATURATION_SCHEMA, self._h_saturation)},
         }
+        handlers = {
+            "families": self._h_families,
+            "workloads": self._h_workloads,
+            "catalog": self._h_catalog,
+        }
+        for op in OPERATIONS.values():
+            handler = handlers.get(op.name) or functools.partial(self._h_job, op)
+            self._routes[op.route] = {op.method: (op.schema, handler)}
         if os.environ.get("REPRO_SERVICE_DEBUG") == "1":
             # Test-only endpoint: a request whose duration the caller
             # controls makes drain/lifecycle tests deterministic
             # instead of racing real compute times.  Never registered
-            # in ENDPOINT_SCHEMAS, never enabled outside the env flag.
-            from repro.service.schemas import Field
+            # in OPERATIONS, never enabled outside the env flag.
+            from repro.operations import Field
 
             sleep_schema = Schema(
                 Field("seconds", "float", default=0.05,
@@ -153,12 +156,11 @@ class QueryService:
                     schema, handler = methods[method]
                     params = self._params(method, schema, query or {}, body)
                     status, payload = handler(params)
-                except ApiError as exc:
-                    status, payload = exc.status, exc.body()
-                except Exception as exc:  # a handler bug must answer in JSON
-                    status, payload = 500, ApiError(
+                except Exception as exc:  # a rejection or a bug: JSON either way
+                    error = client_error(exc) or ApiError(
                         500, "internal_error", f"{type(exc).__name__}: {exc}"
-                    ).body()
+                    )
+                    status, payload = error.status, error.body()
                 sp.set(status=status)
         if trace_id is not None and isinstance(payload.get("meta"), dict):
             payload["meta"]["trace_id"] = trace_id
@@ -194,7 +196,7 @@ class QueryService:
 
     # -- the two-tier cached compute path -----------------------------------
 
-    def _run_job(self, fn: str, spec: Mapping[str, Any]) -> tuple[Any, str]:
+    def _run_job(self, job: Job) -> tuple[Any, str]:
         """``(value, tier)``; tier is ``snapshot``/``memory``/``store``/
         ``miss``/``coalesced``.
 
@@ -204,7 +206,6 @@ class QueryService:
         computing the same job hash waits for it instead of recomputing
         and reports the ``coalesced`` tier.
         """
-        job = Job(fn, spec)
         if self.snapshot is not None:
             hit, value = self.snapshot.get(job.job_hash)
             if hit:
@@ -233,21 +234,15 @@ class QueryService:
                           hash=job.job_hash[:12])
                 self.cache.put(job.job_hash, value)
                 return value, "store"
-        result = self.executor.run([job])[0]
-        if not result.ok:
-            raise self._job_error(result.error or "job failed")
+        t0 = time.perf_counter()
+        # A failure propagates to ``handle``, which maps it to an
+        # envelope (a domain ValueError is the client's fault: 422).
+        with obs.span("harness.job", fn=job.fn, worker="service"):
+            value = job.run()
         if self.store is not None:
-            self.store.put(job, result.value, seconds=result.seconds)
-        self.cache.put(job.job_hash, result.value)
-        return result.value, "miss"
-
-    @staticmethod
-    def _job_error(error: str) -> ApiError:
-        if error.startswith("ValueError"):
-            # Deterministic spec rejection from domain code (e.g. host
-            # larger than guest after size rounding): the client's fault.
-            return ApiError(422, "invalid_argument", error)
-        return ApiError(500, "job_failed", error)
+            self.store.put(job, value, seconds=time.perf_counter() - t0)
+        self.cache.put(job.job_hash, value)
+        return value, "miss"
 
     # -- handlers -----------------------------------------------------------
 
@@ -303,58 +298,28 @@ class QueryService:
     def _h_workloads(self, _params: dict) -> tuple[int, dict[str, Any]]:
         return 200, serializers.workloads_payload()
 
-    def _h_bandwidth(self, params: dict) -> tuple[int, dict[str, Any]]:
+    def _h_job(self, op: Operation, params: dict) -> tuple[int, dict[str, Any]]:
         t0 = time.perf_counter()
-        if params.get("replicates", 1) > 1:
-            spec = dict(params)
-            spec["base_seed"] = spec.pop("seed")
-            value, tier = self._run_job("measure_bandwidth_batch", spec)
-        else:
-            # Single-seed path: drop the replication-only knob so the
-            # job spec (and therefore the cache key) is unchanged from
-            # before it existed.
-            spec = {k: v for k, v in params.items() if k != "replicates"}
-            value, tier = self._run_job("measure_bandwidth", spec)
+        value, tier = self._run_job(op.job(params))
         return 200, {"result": value, "meta": self._meta(tier, t0)}
 
     def _h_catalog(self, params: dict) -> tuple[int, dict[str, Any]]:
         t0 = time.perf_counter()
         tiers = {"snapshot": 0, "memory": 0, "store": 0, "miss": 0,
                  "coalesced": 0}
-        workload = params.get("workload")
         cells = []
-        for guest in params["guests"]:
-            for host in params["hosts"]:
-                spec = {"guest": guest, "host": host}
-                if workload is not None:
-                    spec["workload"] = workload
-                value, tier = self._run_job("catalog_cell", spec)
-                tiers[tier] += 1
-                cells.append(value)
+        for job in catalog_jobs(params):
+            value, tier = self._run_job(job)
+            tiers[tier] += 1
+            cells.append(value)
         payload = serializers.catalog_payload(
-            params["guests"], params["hosts"], cells, workload=workload
+            params["guests"], params["hosts"], cells,
+            workload=params.get("workload"),
         )
         payload["meta"] = {
             "cache": tiers, "seconds": round(time.perf_counter() - t0, 6)
         }
         return 200, payload
-
-    def _h_emulate(self, params: dict) -> tuple[int, dict[str, Any]]:
-        if params["host_size"] > params["guest_size"]:
-            raise ApiError(
-                422,
-                "out_of_range",
-                "host_size must be <= guest_size: emulation slowdown is "
-                "only meaningful for |H| <= |G|",
-            )
-        t0 = time.perf_counter()
-        value, tier = self._run_job("emulate", params)
-        return 200, {"result": value, "meta": self._meta(tier, t0)}
-
-    def _h_saturation(self, params: dict) -> tuple[int, dict[str, Any]]:
-        t0 = time.perf_counter()
-        value, tier = self._run_job("saturation_sweep", params)
-        return 200, {"result": value, "meta": self._meta(tier, t0)}
 
     @staticmethod
     def _meta(tier: str, t0: float) -> dict[str, Any]:

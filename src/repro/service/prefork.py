@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import __version__
+from repro.util.validation import UnavailableError
 
 __all__ = [
     "MetricsDir",
@@ -78,7 +79,7 @@ PUBLISH_INTERVAL = 0.25
 DEFAULT_RESPAWN_LIMIT = 16
 
 
-class PreforkUnavailableError(RuntimeError):
+class PreforkUnavailableError(UnavailableError):
     """This platform cannot run the pre-fork tier (use ``--workers 1``)."""
 
 

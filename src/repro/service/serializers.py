@@ -15,24 +15,17 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.operations import DEFAULT_CATALOG_KEYS
 from repro.topologies.registry import FAMILIES, FamilySpec
 
 __all__ = [
     "DEFAULT_CATALOG_KEYS",
-    "catalog_cells",
     "catalog_payload",
     "families_payload",
     "family_dict",
     "workload_dict",
     "workloads_payload",
 ]
-
-#: The representative guest/host subset the CLI and service default to
-#: (one family per Table-4 bandwidth class, small enough to eyeball).
-DEFAULT_CATALOG_KEYS = (
-    "linear_array", "tree", "xtree", "mesh_2", "mesh_3",
-    "butterfly", "de_bruijn", "hypercube",
-)
 
 
 def family_dict(spec: FamilySpec) -> dict[str, Any]:
@@ -84,22 +77,6 @@ def workloads_payload() -> dict[str, Any]:
 
     workloads = [workload_dict(WORKLOADS[key]) for key in sorted(WORKLOADS)]
     return {"count": len(workloads), "workloads": workloads}
-
-
-def catalog_cells(
-    guests: list[str], hosts: list[str], workload: str | None = None
-) -> list[dict[str, Any]]:
-    """Every (guest, host) cell dict, computed directly (uncached path)."""
-    from repro.theory.catalog import catalog_cell_job
-
-    spec: dict[str, Any] = {}
-    if workload is not None:
-        spec["workload"] = workload
-    return [
-        catalog_cell_job({"guest": g, "host": h, **spec})
-        for g in guests
-        for h in hosts
-    ]
 
 
 def catalog_payload(

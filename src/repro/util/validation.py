@@ -1,8 +1,9 @@
-"""Argument validation helpers with consistent error messages."""
+"""Argument validation helpers with consistent error messages, and the
+error for a capability the host lacks."""
 
 from __future__ import annotations
 
-__all__ = ["check_positive_int", "check_probability"]
+__all__ = ["UnavailableError", "check_positive_int", "check_probability"]
 
 
 def check_positive_int(value: int, name: str, minimum: int = 1) -> int:
@@ -20,3 +21,12 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return p
+
+
+class UnavailableError(RuntimeError):
+    """A capability this host lacks, such as a C toolchain or SO_REUSEPORT.
+
+    ``code`` names it in the service's 501 error envelope.
+    """
+
+    code = "unavailable"

@@ -1,10 +1,13 @@
-"""CLI regression tests: clean errors for unknown families, --json flags.
+"""CLI regression tests: clean errors for bad input, --json flags.
 
 Unknown family keys used to escape as raw ``KeyError`` tracebacks from
-the registry; every family-taking subcommand must now exit nonzero with
-a one-line ``error: ...`` message instead.  The ``--json`` flags must
-emit exactly the service serializers' shapes so scripts can switch
-between the CLI and ``GET /v1/...`` freely.
+the registry, and out-of-range sizes, seeds and rates as tracebacks
+from deep inside the computation (or an out-of-memory crash); every
+query subcommand must now exit nonzero with a one-line ``error: ...``
+message instead, the same message the service's error envelope
+carries.  The ``--json`` flags must emit exactly the service
+serializers' shapes so scripts can switch between the CLI and
+``GET /v1/...`` freely.
 """
 
 from __future__ import annotations
@@ -14,7 +17,64 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.service import QueryService
 from repro.service.serializers import families_payload
+
+
+def _post(path: str, body: dict) -> tuple:
+    return ("POST", path, None, json.dumps(body).encode())
+
+
+#: CLI input -> the service request that asks the same thing (None when
+#: no route does).  Each used to end in a traceback, a silent accept or
+#: an out-of-memory crash.
+BAD_INPUTS = [
+    (["bandwidth", "mesh_2", "--seed", "-1"],
+     ("GET", "/v1/bandwidth", {"family": "mesh_2", "seed": "-1"})),
+    (["bandwidth", "mesh_2", "--size", "-5"],
+     ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "-5"})),
+    (["bandwidth", "mesh_2", "--size", "1"],
+     ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "1"})),
+    (["bandwidth", "mesh_2", "--replicates", "0"],
+     ("GET", "/v1/bandwidth", {"family": "mesh_2", "replicates": "0"})),
+    (["bandwidth", "mesh_2", "--size", "5000"],
+     ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "5000"})),
+    (["bandwidth", "mesh_2", "--size", "20000"],
+     ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "20000"})),
+    (["saturation", "mesh_2", "--rates", "2"],
+     _post("/v1/saturation", {"family": "mesh_2", "rates": [2]})),
+    (["saturation", "mesh_2", "--duration", "0"],
+     _post("/v1/saturation", {"family": "mesh_2", "duration": 0})),
+    (["saturation", "mesh_2", "--size", "2048"],
+     _post("/v1/saturation", {"family": "mesh_2", "size": 2048})),
+    (["emulate", "de_bruijn", "mesh_2", "--guest-size", "64",
+      "--host-size", "256"],
+     _post("/v1/emulate", {"guest": "de_bruijn", "host": "mesh_2",
+                           "guest_size": 64, "host_size": 256})),
+    (["emulate", "de_bruijn", "mesh_2", "--steps", "0"],
+     _post("/v1/emulate", {"guest": "de_bruijn", "host": "mesh_2",
+                           "steps": 0})),
+    (["snapshot", "build", "--out", "{tmp}/cells.snap", "--sizes", "5000",
+      "--workers", "1", "--quiet"],
+     ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "5000"})),
+    (["figure1", "--n", "0"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, request_", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS]
+)
+def test_bad_input_is_one_error_line(argv, request_, tmp_path):
+    argv = [word.replace("{tmp}", str(tmp_path)) for word in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    message = excinfo.value.code  # a str code: printed, exit status 1
+    assert isinstance(message, str) and message.startswith("error: ")
+    assert "\n" not in message and "Traceback" not in message
+    if request_ is not None:
+        status, payload = QueryService().handle(*request_)
+        assert 400 <= status < 500, payload
+        assert message == "error: " + payload["error"]["message"]
 
 
 def _assert_clean_family_error(argv: list[str]) -> None:
@@ -147,6 +207,17 @@ class TestEngineUnavailableErrors:
     def test_saturation(self):
         self._assert_clean_engine_error(
             ["saturation", "ring", "--size", "8", "--engine", "compiled"]
+        )
+
+    def test_service_answers_501(self):
+        status, payload = QueryService().handle(
+            "GET", "/v1/bandwidth",
+            {"family": "linear_array", "size": "16", "engine": "compiled"},
+        )
+        assert status == 501, payload
+        assert payload["error"]["code"] == "engine_unavailable"
+        assert payload["error"]["message"].startswith(
+            "compiled routing engine unavailable"
         )
 
     def test_auto_engine_still_works(self, capsys):

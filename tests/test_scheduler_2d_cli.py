@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,3 +215,17 @@ class TestCli:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_import_skips_the_http_stack(self):
+        """The CLI takes its schemas from repro.operations, outside the
+        service package, so no cold command pays for the HTTP server."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys, repro.cli; print([m for m in "
+            "('http.server', 'repro.service.app') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "[]"

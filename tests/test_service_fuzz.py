@@ -1,40 +1,53 @@
-"""Schema-driven error-envelope fuzzing for the query service.
+"""Schema-driven error fuzzing for the query service and the CLI.
 
-The request generator is derived from the same registry the service
-validates against (:data:`repro.service.schemas.ENDPOINT_SCHEMAS`), so
-every endpoint and every field is fuzzed automatically as the schema
-surface grows -- no per-endpoint strategy to keep in sync.  For each
-drawn request (a mix of valid, missing, mistyped, out-of-range, and
-unknown parameters, plus malformed JSON bodies and bogus routes) the
-service must answer with a well-formed JSON envelope:
+The request generator is derived from the same table both front-ends
+validate against (:data:`repro.operations.OPERATIONS`), so every route,
+command and field is fuzzed automatically as the schema surface grows
+-- no per-endpoint strategy to keep in sync.  For each drawn request (a
+mix of valid, missing, mistyped, out-of-range, and unknown parameters,
+plus malformed JSON bodies and bogus routes) the service must answer
+with a well-formed JSON envelope:
 
 * never a 500 (``handle`` converting a handler exception to 500 is a
   bug-report channel, not an input-validation channel);
 * success payloads are JSON-serializable dicts;
 * failure payloads carry the ``{"error": {"code", "message"}}`` shape.
 
+The CLI leg renders each drawn ``bandwidth``, ``saturation`` or
+``emulate`` request as argv: the command must succeed, stop with
+argparse's usage error, or exit with one ``error: ...`` line -- never
+a traceback.
+
 Valid numeric draws are pinned near each field's minimum so the compute
-endpoints stay cheap (machines of a few dozen nodes, short durations).
+paths stay cheap (machines of a few dozen nodes, short durations).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from typing import Any
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tests.hypothesis_profiles import STANDARD
+from tests.hypothesis_profiles import SLOW, STANDARD
 
+from repro.cli import main
+from repro.operations import OPERATIONS, Field
 from repro.service.app import QueryService
-from repro.service.schemas import ENDPOINT_SCHEMAS, Field
 from repro.topologies import all_family_keys
 from repro.workloads import all_workload_keys
 
 #: Shared service instance: the cache layer is part of the fuzzed
 #: surface (a cached reply must be as well-formed as a computed one).
 SERVICE = QueryService()
+
+#: Every route with its schema: the shared operations, plus the two
+#: service-only endpoints, which take no parameters.
+ROUTES = {(op.method, op.route): op.schema for op in OPERATIONS.values()}
+ROUTES.update({("GET", "/healthz"): None, ("GET", "/metrics"): None})
 
 _JUNK_STRINGS = st.sampled_from(
     ["", "nosuch", "mesh_2;drop", "NaN", "1e309", "-", "🦑", "none", "[1]"]
@@ -95,22 +108,8 @@ def _invalid_value(field: Field) -> st.SearchStrategy[Any]:
     return st.one_of(options)
 
 
-@st.composite
-def requests(draw) -> tuple[str, str, dict[str, Any] | None, bytes]:
-    """One (method, path, query, body) request, valid or adversarial."""
-    method, path = draw(st.sampled_from(sorted(ENDPOINT_SCHEMAS)))
-    schema = ENDPOINT_SCHEMAS[(method, path)]
-
-    # occasionally hit a bogus route or the wrong method
-    twist = draw(st.sampled_from(["ok", "ok", "ok", "route", "method"]))
-    if twist == "route":
-        path = draw(st.sampled_from(["/v1/nope", "/", "/v1/bandwidth/extra"]))
-    elif twist == "method":
-        method = "POST" if method == "GET" else "GET"
-
-    if schema is None:
-        return method, path, None, b""
-
+def _draw_params(draw, schema) -> dict[str, Any]:
+    """Each field omitted, valid or invalid, plus maybe an unknown key."""
     params: dict[str, Any] = {}
     for name, field in schema.fields.items():
         mode = draw(
@@ -122,7 +121,26 @@ def requests(draw) -> tuple[str, str, dict[str, Any] | None, bytes]:
         params[name] = draw(strategy)
     if draw(st.booleans()):
         params[draw(st.sampled_from(["bogus", "family ", "_seed"]))] = "1"
+    return params
 
+
+@st.composite
+def requests(draw) -> tuple[str, str, dict[str, Any] | None, bytes]:
+    """One (method, path, query, body) request, valid or adversarial."""
+    method, path = draw(st.sampled_from(sorted(ROUTES)))
+    schema = ROUTES[(method, path)]
+
+    # occasionally hit a bogus route or the wrong method
+    twist = draw(st.sampled_from(["ok", "ok", "ok", "route", "method"]))
+    if twist == "route":
+        path = draw(st.sampled_from(["/v1/nope", "/", "/v1/bandwidth/extra"]))
+    elif twist == "method":
+        method = "POST" if method == "GET" else "GET"
+
+    if schema is None:
+        return method, path, None, b""
+
+    params = _draw_params(draw, schema)
     if method == "POST":
         body_kind = draw(st.sampled_from(["json", "json", "json", "garbage"]))
         if body_kind == "garbage":
@@ -163,3 +181,47 @@ class TestServiceNever500s:
         )
         assert status == 422, payload
         assert payload["error"]["code"] != "internal_error"
+
+
+def _cli_text(value: Any) -> list[str]:
+    """A drawn value as CLI words: lists (and comma lists) word by word."""
+    if isinstance(value, list):
+        return [str(v) for v in value] or [""]
+    if isinstance(value, str) and "," in value:
+        return value.split(",")
+    return [json.dumps(value) if isinstance(value, bool) else str(value)]
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """A drawn bandwidth/saturation/emulate request rendered as argv:
+    required fields positional, the rest ``--dashed`` (a key no field
+    has becomes an unknown flag)."""
+    name = draw(st.sampled_from(["bandwidth", "saturation", "emulate"]))
+    schema = OPERATIONS[name].schema
+    argv, flags = [name], []
+    for key, value in _draw_params(draw, schema).items():
+        field = schema.fields.get(key)
+        if field is not None and field.required:
+            argv.append(_cli_text(value)[0])
+        else:
+            flags += ["--" + key.replace("_", "-"), *_cli_text(value)]
+    return argv + flags
+
+
+class TestCliNeverTracebacks:
+    @SLOW
+    @given(argv=cli_argvs())
+    def test_cli_exits_cleanly(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                if exc.code == 2:  # argparse's usage error
+                    return
+                assert isinstance(exc.code, str), (argv, exc.code)
+                assert exc.code.startswith("error: "), (argv, exc.code)
+                assert "\n" not in exc.code and "Traceback" not in exc.code
+                return
+        assert code == 0, argv

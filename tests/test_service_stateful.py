@@ -50,8 +50,8 @@ def reference_value(family: str, size: int) -> dict:
     """The cold truth: what the compute path must produce for a query.
 
     Computed once per (family, size) through the same harness job the
-    service builds in ``_h_bandwidth`` (seed/engine defaults applied),
-    bypassing every cache tier.
+    service builds from the bandwidth operation (seed/engine defaults
+    applied), bypassing every cache tier.
     """
     key = (family, size)
     if key not in _reference_cache:
