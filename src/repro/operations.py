@@ -234,8 +234,9 @@ class Field:
 
     def _bounded(self, number: int | float) -> int | float:
         low, high = self.minimum, self.maximum
-        if (low is not None and number < low) or (
-            high is not None and number > high
+        # "not >=" rather than "<": NaN compares false, so it is out of range.
+        if (low is not None and not number >= low) or (
+            high is not None and not number <= high
         ):
             span = (
                 f">= {low}" if high is None

@@ -43,6 +43,8 @@ BAD_INPUTS = [
      ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "20000"})),
     (["saturation", "mesh_2", "--rates", "2"],
      _post("/v1/saturation", {"family": "mesh_2", "rates": [2]})),
+    (["saturation", "mesh_2", "--rates", "nan"],
+     _post("/v1/saturation", {"family": "mesh_2", "rates": ["nan"]})),
     (["saturation", "mesh_2", "--duration", "0"],
      _post("/v1/saturation", {"family": "mesh_2", "duration": 0})),
     (["saturation", "mesh_2", "--size", "2048"],
