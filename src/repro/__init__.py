@@ -27,35 +27,51 @@ executable emulator), :mod:`repro.theory` (Theorem 1, Tables 1-4,
 Figure 1), :mod:`repro.baselines` (Koch et al., dilation bounds).
 """
 
-from repro.asymptotics import BigO, Bound, LogPoly, Omega, Theta, solve_monomial
-from repro.bandwidth import (
-    beta_bracket,
-    beta_formula,
-    beta_value,
-    delta_formula,
-    measure_bandwidth,
-)
-from repro.emulation import (
-    Circuit,
-    Emulator,
-    build_gamma,
-    build_nonredundant_circuit,
-    build_redundant_circuit,
-    collapse_circuit,
-)
-from repro.theory import (
-    bottleneck_freeness,
-    figure1_data,
-    generate_table1,
-    generate_table2,
-    generate_table3,
-    generate_table4,
-    max_host_size,
-    numeric_slowdown_bound,
-    symbolic_slowdown,
-)
-from repro.topologies import FAMILIES, Machine, all_family_keys, family_spec
-from repro.traffic import TrafficDistribution, symmetric_traffic
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.asymptotics": (
+        "BigO",
+        "Bound",
+        "LogPoly",
+        "Omega",
+        "Theta",
+        "solve_monomial",
+    ),
+    "repro.bandwidth": (
+        "beta_bracket",
+        "beta_formula",
+        "beta_value",
+        "delta_formula",
+        "measure_bandwidth",
+    ),
+    "repro.emulation": (
+        "Circuit",
+        "Emulator",
+        "build_gamma",
+        "build_nonredundant_circuit",
+        "build_redundant_circuit",
+        "collapse_circuit",
+    ),
+    "repro.theory": (
+        "bottleneck_freeness",
+        "figure1_data",
+        "generate_table1",
+        "generate_table2",
+        "generate_table3",
+        "generate_table4",
+        "max_host_size",
+        "numeric_slowdown_bound",
+        "symbolic_slowdown",
+    ),
+    "repro.topologies": (
+        "FAMILIES",
+        "Machine",
+        "all_family_keys",
+        "family_spec",
+    ),
+    "repro.traffic": ("TrafficDistribution", "symmetric_traffic"),
+})
 
 __version__ = "1.0.0"
 

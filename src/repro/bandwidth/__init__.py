@@ -13,28 +13,32 @@ Theorem 6 says the three agree to within Theta; the Table-4 bench checks
 that numerically for every family.
 """
 
-from repro.bandwidth.betweenness import (
-    betweenness_beta_estimate,
-    betweenness_congestion,
-)
-from repro.bandwidth.cuts import bisection_width_upper, flux_beta_upper
-from repro.bandwidth.formulas import (
-    beta_formula,
-    beta_value,
-    delta_formula,
-    delta_value,
-)
-from repro.bandwidth.graph_theoretic import (
-    BetaBracket,
-    beta_bracket,
-    beta_lower,
-    beta_upper,
-    routing_congestion,
-)
-from repro.bandwidth.lemma10 import lemma10_beta_upper
-from repro.bandwidth.lp_bound import lp_beta_upper, lp_min_congestion
-from repro.bandwidth.operational import measure_bandwidth
-from repro.bandwidth.spectral import algebraic_connectivity, cheeger_bounds
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bandwidth.betweenness": (
+        "betweenness_beta_estimate",
+        "betweenness_congestion",
+    ),
+    "repro.bandwidth.cuts": ("bisection_width_upper", "flux_beta_upper"),
+    "repro.bandwidth.formulas": (
+        "beta_formula",
+        "beta_value",
+        "delta_formula",
+        "delta_value",
+    ),
+    "repro.bandwidth.graph_theoretic": (
+        "BetaBracket",
+        "beta_bracket",
+        "beta_lower",
+        "beta_upper",
+        "routing_congestion",
+    ),
+    "repro.bandwidth.lemma10": ("lemma10_beta_upper",),
+    "repro.bandwidth.lp_bound": ("lp_beta_upper", "lp_min_congestion"),
+    "repro.bandwidth.operational": ("measure_bandwidth",),
+    "repro.bandwidth.spectral": ("algebraic_connectivity", "cheeger_bounds"),
+})
 
 __all__ = [
     "BetaBracket",

@@ -11,7 +11,6 @@ upper-bounds the true bisection width.
 from __future__ import annotations
 
 import networkx as nx
-import numpy as np
 
 from repro.embedding.lower_bounds import candidate_cuts
 from repro.topologies.base import Machine

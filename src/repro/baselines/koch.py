@@ -22,7 +22,6 @@ set them beside the bandwidth bounds.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from repro.asymptotics import LogPoly

@@ -28,6 +28,9 @@ The query commands (``bandwidth``, ``saturation``, ``emulate``,
 come from, and validate them through the same schemas: out-of-range
 input stops with the service's message as one ``error: ...`` line.
 
+Each handler imports what it runs, so a command that prints registry
+metadata or symbolic tables never loads numpy, scipy or networkx.
+
 ``bandwidth``, ``saturation``, ``emulate``, ``sweep``, and ``serve``
 accept ``--trace FILE``: the run executes under the observability
 tracer (:mod:`repro.obs`) with one root ``cli.<command>`` span, and the
@@ -42,26 +45,18 @@ import json
 import sys
 import time
 
-from repro.bandwidth import beta_bracket, beta_value
-from repro.emulation import Emulator
-from repro.experiments import replicate
 from repro.operations import OPERATIONS, Field, catalog_jobs, client_error
-from repro.routing import (
-    measure_bandwidth,
-    measure_bandwidth_many,
-    saturation_sweep,
-)
-from repro.theory import (
-    figure1_data,
-    generate_table1,
-    generate_table2,
-    generate_table3,
-    generate_table4,
-)
 from repro.topologies import all_family_keys, family_spec
 from repro.util import format_table
 
 __all__ = ["main"]
+
+#: ``figure1 --n``: the curves are evaluated in floating point, so the
+#: guest size must fit in a float.
+_FIGURE1_N = Field(
+    "n", "int", default=2**14, minimum=4, maximum=sys.float_info.max,
+    help="guest size",
+)
 
 
 def _add_field(parser: argparse.ArgumentParser, field: Field) -> None:
@@ -203,6 +198,13 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_tables(_args) -> int:
+    from repro.theory import (
+        generate_table1,
+        generate_table2,
+        generate_table3,
+        generate_table4,
+    )
+
     for j, title in ((2, "Table 1 (guest = 2-dim mesh)"),):
         print(
             format_table(
@@ -239,10 +241,13 @@ def _cmd_tables(_args) -> int:
 
 
 def _cmd_figure1(args) -> int:
+    from repro.theory import figure1_data
+
     fields = OPERATIONS["emulate"].schema.fields
     fields["guest"].coerce(args.guest)
     fields["host"].coerce(args.host)
-    f1 = figure1_data(args.guest, args.host, args.n)
+    n = _FIGURE1_N.coerce(args.n)
+    f1 = figure1_data(args.guest, args.host, n)
     print(
         format_table(
             ["|H|", "load bound", "bandwidth bound", "envelope"],
@@ -250,7 +255,7 @@ def _cmd_figure1(args) -> int:
                 (m, f"{l:10.2f}", f"{b:10.2f}", f"{e:10.2f}")
                 for m, l, b, e in f1.rows()
             ],
-            title=f"Figure 1: {args.guest} (n={args.n}) on {args.host} hosts",
+            title=f"Figure 1: {args.guest} (n={n}) on {args.host} hosts",
         )
     )
     print(
@@ -261,6 +266,10 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_bandwidth(args) -> int:
+    from repro.bandwidth import beta_bracket, beta_value
+    from repro.experiments import replicate
+    from repro.routing import measure_bandwidth, measure_bandwidth_many
+
     p = _params(args)
     engine = p["engine"]
     with _traced(args, "cli.bandwidth"):
@@ -301,6 +310,8 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_saturation(args) -> int:
+    from repro.routing import saturation_sweep
+
     p = _params(args)
     with _traced(args, "cli.saturation"):
         machine = family_spec(p["family"]).build_with_size(p["size"])
@@ -338,6 +349,8 @@ def _cmd_saturation(args) -> int:
 
 
 def _cmd_emulate(args) -> int:
+    from repro.emulation import Emulator
+
     p = _params(args)
     with _traced(args, "cli.emulate"):
         t0 = time.perf_counter()
@@ -742,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     f1 = sub.add_parser("figure1", help="print Figure-1 series")
     f1.add_argument("--guest", default="de_bruijn")
     f1.add_argument("--host", default="mesh_2")
-    f1.add_argument("--n", type=int, default=2**14)
+    _add_field(f1, _FIGURE1_N)
     f1.set_defaults(fn=_cmd_figure1)
 
     for name, fn in (("bandwidth", _cmd_bandwidth), ("saturation", _cmd_saturation)):

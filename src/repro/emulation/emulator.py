@@ -28,6 +28,7 @@ from repro.embedding.embedders import _bfs_order
 from repro.obs import trace as obs
 from repro.routing.simulator import RoutingSimulator
 from repro.topologies.base import Machine
+from repro.topologies.registry import family_spec
 from repro.util import check_positive_int, rng_from_seed
 
 __all__ = ["EmulationReport", "Emulator", "emulate_job"]
@@ -204,8 +205,6 @@ def emulate_job(spec: dict) -> dict:
     :meth:`EmulationReport.as_dict`; the spec is total, so the value is
     deterministic and safe to cache by content hash.
     """
-    from repro.topologies.registry import family_spec
-
     guest = family_spec(spec["guest"]).build_with_size(
         int(spec.get("guest_size", 256))
     )

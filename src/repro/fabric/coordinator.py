@@ -22,9 +22,11 @@ Local workers are forked from the coordinator's process and run
 :func:`~repro.fabric.worker.worker_loop` -- the loop
 ``python -m repro.fabric.worker`` runs on another host against a shared
 queue directory -- so local and remote workers speak one protocol.
-Forking skips the interpreter start and the numpy, scipy and repro
-imports a fresh process would pay, and the child inherits the parent's
-``sys.path``, so job functions defined in tests or scripts resolve.
+Forking skips the interpreter start, and each worker starts with its
+cells' job modules imported: :meth:`Coordinator.run` resolves every
+distinct job function before it forks, so the import is paid once here,
+not once per worker.  The child inherits the parent's ``sys.path``, so
+job functions defined in tests or scripts resolve.
 If every worker dies and the respawn budget is spent, the coordinator
 degrades to executing the remaining cells inline: a fabric sweep
 finishes or fails per-cell, it never wedges.
@@ -47,7 +49,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.harness.executors import JobResult
-from repro.harness.jobs import Job
+from repro.harness.jobs import Job, preload_jobs
 from repro.obs import trace as obs
 
 from repro.fabric.queue import QueueConfig, WorkQueue
@@ -105,7 +107,8 @@ class Coordinator:
         """Fork one :func:`worker_loop` process against the queue."""
         self._spawned += 1
         worker_id = f"w{self._spawned}"
-        # fork, not spawn: the child starts with every module imported.
+        # fork, not spawn: the child starts with every module this
+        # process imported, the job functions' included (see run()).
         # That is safe only because nothing on the worker's path takes a
         # lock another parent thread may hold at the fork; the tracer's
         # (the one module-level lock there) is reset in the child.
@@ -221,6 +224,7 @@ class Coordinator:
             self.queue.seal()
             unsettled = self.queue.unsettled()
             if unsettled > 0:
+                preload_jobs(job.fn for job in jobs)
                 self.spawn(min(self.num_workers, unsettled))
             self.wait(jobs, on_result=on_result)
             self.shutdown()

@@ -19,11 +19,12 @@ aliases to the entry points the repo ships.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
     "BUILTIN_JOBS",
@@ -32,6 +33,7 @@ __all__ = [
     "TransientJobError",
     "canonical_json",
     "canonical_path",
+    "preload_jobs",
     "register_job",
     "resolve_job",
 ]
@@ -86,6 +88,19 @@ def resolve_job(fn: str) -> Callable[[Mapping[str, Any]], Any]:
     if not callable(func):
         raise JobError(f"{path} is not callable")
     return func
+
+
+def preload_jobs(fns: Iterable[str]) -> None:
+    """Import the job function behind each of ``fns`` now.
+
+    A process that forks workers or serves requests calls this first,
+    so its children and its first request inherit the imports instead
+    of paying them.  A job that does not resolve is skipped: running it
+    still fails, cell by cell, with its own error.
+    """
+    for fn in sorted(set(fns)):
+        with contextlib.suppress(Exception):
+            resolve_job(fn)
 
 
 def canonical_json(obj: Any) -> str:

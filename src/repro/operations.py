@@ -6,7 +6,9 @@ job mapping the service runs.  :mod:`repro.cli` generates its query
 arguments from the schemas and :mod:`repro.service.app` its routes, and
 both validate through :meth:`Schema.validate`, so every parameter has
 one type, default, bound and error message.  This module sits outside
-:mod:`repro.service` so the CLI imports it without the HTTP stack.
+:mod:`repro.service` so the CLI imports it without the HTTP stack, and
+it takes the engine names from :mod:`repro.routing.engine_names`, so it
+loads no numpy either.
 
 The schema contract: every parameter is **typed**, and text values
 (query strings, CLI arguments) are coerced; family and workload keys
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.routing.simulator import DEFAULT_ENGINE, ENGINES
+from repro.routing.engine_names import DEFAULT_ENGINE, ENGINES
 from repro.util.validation import UnavailableError
 
 if TYPE_CHECKING:

@@ -10,30 +10,30 @@ Weak machines (``port_limit=1``) additionally allow each processor to
 drive only one outgoing link per step.
 """
 
-from repro.routing.compiled import EngineUnavailableError
-from repro.routing.dimension_order import (
-    DimensionOrderRouter,
-    dimension_order_route,
-)
-from repro.routing.measure import (
-    BandwidthMeasurement,
-    measure_bandwidth,
-    measure_bandwidth_many,
-)
-from repro.routing.saturation import (
-    SaturationPoint,
-    saturation_bandwidth,
-    saturation_sweep,
-)
-from repro.routing.simulator import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    RoutingResult,
-    RoutingSimulator,
-)
-from repro.routing.stats import LinkStats, link_stats
-from repro.routing.strategies import shortest_path_route, valiant_route
-from repro.routing.tables import NextHopTables
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.routing.compiled": ("EngineUnavailableError",),
+    "repro.routing.dimension_order": (
+        "DimensionOrderRouter",
+        "dimension_order_route",
+    ),
+    "repro.routing.engine_names": ("DEFAULT_ENGINE", "ENGINES"),
+    "repro.routing.measure": (
+        "BandwidthMeasurement",
+        "measure_bandwidth",
+        "measure_bandwidth_many",
+    ),
+    "repro.routing.saturation": (
+        "SaturationPoint",
+        "saturation_bandwidth",
+        "saturation_sweep",
+    ),
+    "repro.routing.simulator": ("RoutingResult", "RoutingSimulator"),
+    "repro.routing.stats": ("LinkStats", "link_stats"),
+    "repro.routing.strategies": ("shortest_path_route", "valiant_route"),
+    "repro.routing.tables": ("NextHopTables",),
+})
 
 __all__ = [
     "BandwidthMeasurement",

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.experiments import Replication
 from repro.obs import trace as obs
 from repro.routing.simulator import DEFAULT_ENGINE, RoutingResult, RoutingSimulator
 from repro.routing.dimension_order import dimension_order_route
 from repro.routing.strategies import shortest_path_route, valiant_route
 from repro.topologies.base import Machine
+from repro.topologies.registry import family_spec
 from repro.traffic.distribution import TrafficDistribution, symmetric_traffic
 from repro.util import check_positive_int, rng_from_seed
+from repro.workloads.registry import resolve_workload
 
 __all__ = [
     "BandwidthMeasurement",
@@ -139,8 +142,6 @@ def resolve_traffic(
             return symmetric_traffic(n), None
     if traffic is not None:
         raise ValueError("pass either traffic or workload, not both")
-    from repro.workloads.registry import resolve_workload
-
     with obs.span("traffic.build", n=n):
         wl = resolve_workload(workload, n, workload_params)
     return wl.traffic, wl
@@ -225,8 +226,6 @@ def measure_bandwidth_job(spec: dict) -> dict:
     entries stay valid.  Returns a JSON-serializable dict; given the
     same spec the values are bit-identical in any process.
     """
-    from repro.topologies.registry import family_spec
-
     machine = family_spec(spec["family"]).build_with_size(int(spec.get("size", 256)))
     meas = measure_bandwidth(
         machine,
@@ -266,9 +265,6 @@ def measure_bandwidth_batch_job(spec: dict) -> dict:
     :func:`measure_bandwidth_many`, whose values equal sequential
     :func:`measure_bandwidth` calls bit for bit.
     """
-    from repro.experiments import Replication
-    from repro.topologies.registry import family_spec
-
     machine = family_spec(spec["family"]).build_with_size(int(spec.get("size", 256)))
     replicates = int(spec.get("replicates", 8))
     check_positive_int(replicates, "replicates")

@@ -19,6 +19,7 @@ from repro.obs import trace as obs
 from repro.routing.measure import resolve_traffic
 from repro.routing.simulator import DEFAULT_ENGINE, RoutingSimulator
 from repro.topologies.base import Machine
+from repro.topologies.registry import family_spec
 from repro.traffic.distribution import TrafficDistribution
 from repro.util import check_positive_int, rng_from_seed
 
@@ -185,8 +186,6 @@ def saturation_sweep_job(spec: dict) -> dict:
     cache entries stay valid.  Each measured point becomes one dict so
     the whole curve is a JSON value.
     """
-    from repro.topologies.registry import family_spec
-
     machine = family_spec(spec["family"]).build_with_size(int(spec.get("size", 64)))
     points = saturation_sweep(
         machine,

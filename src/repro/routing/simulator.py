@@ -51,17 +51,13 @@ import numpy as np
 from repro.obs import trace as obs
 from repro.routing import compiled as compiled_backend
 from repro.routing.engine import route_many
+from repro.routing.engine_names import DEFAULT_ENGINE, ENGINES
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
 
 __all__ = ["DEFAULT_ENGINE", "ENGINES", "RoutingResult", "RoutingSimulator"]
 
 _POLICIES = ("fifo", "farthest")
-#: Every ``engine=`` name; the CLI's ``--engine`` flags offer these.
-ENGINES = ("fast", "reference", "compiled", "auto")
-#: The engine every default path routes on: the C kernel when it
-#: builds, else the batched numpy kernel.
-DEFAULT_ENGINE = "auto"
 
 
 @dataclass

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from repro.topologies.base import Machine
 
@@ -121,9 +123,6 @@ class NextHopTables:
                 next_eid=np.full((1, 1), -1, dtype=np.int32),
             )
             return self._dense
-
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import shortest_path
 
         graph = csr_array(
             (

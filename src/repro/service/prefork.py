@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import __version__
+from repro.harness.jobs import BUILTIN_JOBS, preload_jobs
 from repro.util.validation import UnavailableError
 
 __all__ = [
@@ -389,6 +390,8 @@ def serve_prefork(
 
         with CatalogSnapshot(snapshot, expected_salt=default_salt()):
             pass
+    # Import the job functions once here; every forked worker inherits them.
+    preload_jobs(BUILTIN_JOBS)
 
     lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -35,6 +35,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
 from repro.harness import ResultStore
+from repro.harness.jobs import BUILTIN_JOBS, preload_jobs
 from repro.obs import trace as obs
 from repro.service.app import QueryService
 
@@ -251,6 +252,7 @@ def serve(
     """
     if trace:
         obs.configure(trace)
+    preload_jobs(BUILTIN_JOBS)
     server = create_server(
         host=host,
         port=port,

@@ -11,29 +11,37 @@
 * :mod:`lam` -- the minimal-computation-time lambda(G).
 """
 
-from repro.theory.bottleneck import BottleneckReport, bottleneck_freeness
-from repro.theory.catalog import (
-    CatalogEntry,
-    catalog_consistency_violations,
-    full_catalog,
-)
-from repro.theory.expander_gap import GapPoint, expander_gap_experiment
-from repro.theory.figure1 import Figure1Data, figure1_data
-from repro.theory.host_size import max_host_size, theorem_guest_time
-from repro.theory.lam import lam_formula, lam_numeric, lemma9_depth_condition
-from repro.theory.slowdown import (
-    SlowdownBound,
-    lemma8_time_lower,
-    numeric_slowdown_bound,
-    symbolic_slowdown,
-)
-from repro.theory.tables import (
-    generate_table,
-    generate_table1,
-    generate_table2,
-    generate_table3,
-    generate_table4,
-)
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.theory.bottleneck": ("BottleneckReport", "bottleneck_freeness"),
+    "repro.theory.catalog": (
+        "CatalogEntry",
+        "catalog_consistency_violations",
+        "full_catalog",
+    ),
+    "repro.theory.expander_gap": ("GapPoint", "expander_gap_experiment"),
+    "repro.theory.figure1": ("Figure1Data", "figure1_data"),
+    "repro.theory.host_size": ("max_host_size", "theorem_guest_time"),
+    "repro.theory.lam": (
+        "lam_formula",
+        "lam_numeric",
+        "lemma9_depth_condition",
+    ),
+    "repro.theory.slowdown": (
+        "SlowdownBound",
+        "lemma8_time_lower",
+        "numeric_slowdown_bound",
+        "symbolic_slowdown",
+    ),
+    "repro.theory.tables": (
+        "generate_table",
+        "generate_table1",
+        "generate_table2",
+        "generate_table3",
+        "generate_table4",
+    ),
+})
 
 __all__ = [
     "BottleneckReport",

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.asymptotics import Bound, LogPoly
+from repro.asymptotics import BigO, Bound, LogPoly
 from repro.theory.host_size import max_host_size
 from repro.topologies.registry import FAMILIES, family_spec
+from repro.workloads.registry import workload_spec
 
 __all__ = [
     "CatalogEntry",
@@ -48,9 +49,6 @@ def workload_cell_bound(guest_key: str, host_key: str, workload_key: str) -> Bou
     ``O(n)`` -- the host may be as large as the guest, and the framework
     makes no claim beyond that.
     """
-    from repro.asymptotics import BigO
-    from repro.workloads.registry import workload_spec
-
     if workload_spec(workload_key).quasi_symmetric:
         return max_host_size(guest_key, host_key)
     return BigO(LogPoly.n())
@@ -105,8 +103,6 @@ def catalog_cell_job(spec: dict) -> dict:
         "kind": bound.kind,
     }
     if workload is not None:
-        from repro.workloads.registry import workload_spec
-
         qs = workload_spec(workload).quasi_symmetric
         out["workload"] = workload
         out["workload_class"] = (

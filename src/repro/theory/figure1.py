@@ -13,12 +13,11 @@ numerically plus the exact symbolic crossover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.asymptotics import Bound
 from repro.theory.host_size import max_host_size
 from repro.theory.slowdown import symbolic_slowdown
-from repro.topologies.registry import family_spec
 
 __all__ = ["Figure1Data", "figure1_data"]
 

@@ -16,7 +16,7 @@ guest can always be taken as large as the guest itself.
 from __future__ import annotations
 
 from repro.asymptotics import BigO, Bound, LogPoly, Omega
-from repro.asymptotics.solve import UnsolvableError, solve_monomial
+from repro.asymptotics.solve import solve_monomial
 from repro.topologies.registry import family_spec
 
 __all__ = ["max_host_size", "theorem_guest_time"]

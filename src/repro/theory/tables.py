@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asymptotics import Bound
-from repro.theory.host_size import max_host_size, theorem_guest_time
+from repro.theory.host_size import max_host_size
 from repro.topologies.registry import family_spec
 
 __all__ = [

@@ -16,35 +16,14 @@ pyramid) are exposed per dimension as ``mesh_2``, ``pyramid_3``, ...;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.asymptotics import LogPoly
-from repro.topologies.base import Machine
-from repro.topologies.clos import (
-    build_dragonfly,
-    build_fat_tree,
-    dragonfly_nodes,
-    fat_tree_nodes,
-)
-from repro.topologies.hierarchical import (
-    build_mesh_of_trees,
-    build_multigrid,
-    build_pyramid,
-)
-from repro.topologies.hypercubic import (
-    build_butterfly,
-    build_ccc,
-    build_de_bruijn,
-    build_hypercube,
-    build_shuffle_exchange,
-    build_weak_hypercube,
-)
-from repro.topologies.linear import build_global_bus, build_linear_array, build_ring
-from repro.topologies.meshes import build_mesh, build_torus, build_xgrid
-from repro.topologies.randomized import build_expander, build_multibutterfly
-from repro.topologies.trees import build_tree, build_weak_ppn, build_xtree
+
+if TYPE_CHECKING:
+    from repro.topologies.base import Machine
 
 __all__ = ["FamilySpec", "FAMILIES", "family_spec", "all_family_keys"]
 
@@ -103,46 +82,70 @@ def _order_near(n: int, size_of_order: Callable[[int], int], lo: int = 1) -> int
 
 
 # -- builders keyed by target node count -------------------------------------
+#
+# Each builder imports its graph module on its first call, so the
+# registry's metadata (keys, display names, beta, Delta) loads no graph
+# code: ``repro families`` prints Table 4 without networkx or numpy.
 
 
 def _b_linear(n, **kw):
+    from repro.topologies.linear import build_linear_array
+
     return build_linear_array(max(2, n))
 
 
 def _b_ring(n, **kw):
+    from repro.topologies.linear import build_ring
+
     return build_ring(max(3, n))
 
 
 def _b_bus(n, **kw):
+    from repro.topologies.linear import build_global_bus
+
     return build_global_bus(max(2, n - 2))
 
 
 def _b_tree(n, **kw):
+    from repro.topologies.trees import build_tree
+
     # n = 2^(h+1) - 1
     return build_tree(max(1, _pow2_near(n + 1, lo=2) - 1))
 
 
 def _b_xtree(n, **kw):
+    from repro.topologies.trees import build_xtree
+
     return build_xtree(max(1, _pow2_near(n + 1, lo=2) - 1))
 
 
 def _b_wppn(n, **kw):
+    from repro.topologies.trees import build_weak_ppn
+
     # n = 3 * 2^h - 2
     return build_weak_ppn(max(1, _pow2_near(max(1, (n + 2) // 3))))
 
 
-def _grid_builder(fn, k, min_side=2):
+def _grid_builder(name, k, min_side=2):
+    """The ``repro.topologies.meshes`` builder ``name`` in dimension ``k``."""
+
     def build(n, **kw):
+        from repro.topologies import meshes
+
         side = max(min_side, round(n ** (1.0 / k)))
         candidates = [s for s in (side - 1, side, side + 1) if s >= min_side]
         best = min(candidates, key=lambda s: abs(s**k - n))
-        return fn(best, k=k)
+        return getattr(meshes, name)(best, k=k)
 
     return build
 
 
-def _pow2_grid_builder(fn, k, approx_nodes: Callable[[int, int], int]):
+def _pow2_grid_builder(name, k, approx_nodes: Callable[[int, int], int]):
+    """The ``repro.topologies.hierarchical`` builder ``name`` in dimension ``k``."""
+
     def build(n, **kw):
+        from repro.topologies import hierarchical
+
         exp = 1
         best, best_err = 1, None
         while True:
@@ -153,7 +156,7 @@ def _pow2_grid_builder(fn, k, approx_nodes: Callable[[int, int], int]):
             if approx_nodes(side, k) > 4 * max(n, 2):
                 break
             exp += 1
-        return fn(2**best, k=k)
+        return getattr(hierarchical, name)(2**best, k=k)
 
     return build
 
@@ -171,36 +174,52 @@ def _pyramid_nodes(side, k):
 
 
 def _b_butterfly(n, **kw):
+    from repro.topologies.hypercubic import build_butterfly
+
     return build_butterfly(_order_near(n, lambda r: (r + 1) * 2**r))
 
 
 def _b_wbutterfly(n, **kw):
+    from repro.topologies.hypercubic import build_butterfly
+
     return build_butterfly(
         _order_near(n, lambda r: r * 2**r, lo=3), wrapped=True
     )
 
 
 def _b_ccc(n, **kw):
+    from repro.topologies.hypercubic import build_ccc
+
     return build_ccc(_order_near(n, lambda r: r * 2**r, lo=3))
 
 
 def _b_se(n, **kw):
+    from repro.topologies.hypercubic import build_shuffle_exchange
+
     return build_shuffle_exchange(max(2, _pow2_near(n, lo=2)))
 
 
 def _b_db(n, **kw):
+    from repro.topologies.hypercubic import build_de_bruijn
+
     return build_de_bruijn(max(2, _pow2_near(n, lo=2)))
 
 
 def _b_hc(n, **kw):
+    from repro.topologies.hypercubic import build_hypercube
+
     return build_hypercube(max(1, _pow2_near(n)))
 
 
 def _b_whc(n, **kw):
+    from repro.topologies.hypercubic import build_weak_hypercube
+
     return build_weak_hypercube(max(1, _pow2_near(n)))
 
 
 def _b_expander(n, seed=None, degree=4, **kw):
+    from repro.topologies.randomized import build_expander
+
     n = max(degree + 2, n)
     if (n * degree) % 2:
         n += 1
@@ -208,15 +227,21 @@ def _b_expander(n, seed=None, degree=4, **kw):
 
 
 def _b_fat_tree(n, **kw):
+    from repro.topologies.clos import build_fat_tree, fat_tree_nodes
+
     # radix k = 2r, the even radix whose node count lands nearest n
     return build_fat_tree(2 * _order_near(n, lambda r: fat_tree_nodes(2 * r)))
 
 
 def _b_dragonfly(n, **kw):
+    from repro.topologies.clos import build_dragonfly, dragonfly_nodes
+
     return build_dragonfly(_order_near(n, dragonfly_nodes, lo=2))
 
 
 def _b_mbf(n, seed=None, multiplicity=2, **kw):
+    from repro.topologies.randomized import build_multibutterfly
+
     return build_multibutterfly(
         _order_near(n, lambda r: (r + 1) * 2**r), multiplicity=multiplicity, seed=seed
     )
@@ -270,7 +295,7 @@ def _make_families() -> dict[str, FamilySpec]:
             FamilySpec(
                 f"mesh_{k}",
                 f"Mesh_{k}",
-                _grid_builder(build_mesh, k),
+                _grid_builder("build_mesh", k),
                 _mesh_beta(k),
                 _mesh_delta(k),
                 k=k,
@@ -280,7 +305,7 @@ def _make_families() -> dict[str, FamilySpec]:
             FamilySpec(
                 f"torus_{k}",
                 f"Torus_{k}",
-                _grid_builder(build_torus, k, min_side=3),
+                _grid_builder("build_torus", k, min_side=3),
                 _mesh_beta(k),
                 _mesh_delta(k),
                 k=k,
@@ -290,7 +315,7 @@ def _make_families() -> dict[str, FamilySpec]:
             FamilySpec(
                 f"xgrid_{k}",
                 f"X-Grid_{k}",
-                _grid_builder(build_xgrid, k),
+                _grid_builder("build_xgrid", k),
                 _mesh_beta(k),
                 _mesh_delta(k),
                 fixed_degree=(k <= 4),
@@ -301,7 +326,7 @@ def _make_families() -> dict[str, FamilySpec]:
             FamilySpec(
                 f"mesh_of_trees_{k}",
                 f"Mesh of Trees_{k}",
-                _pow2_grid_builder(build_mesh_of_trees, k, _mot_nodes),
+                _pow2_grid_builder("build_mesh_of_trees", k, _mot_nodes),
                 _mesh_beta(k),
                 LG,
                 k=k,
@@ -311,7 +336,7 @@ def _make_families() -> dict[str, FamilySpec]:
             FamilySpec(
                 f"multigrid_{k}",
                 f"Multigrid_{k}",
-                _pow2_grid_builder(build_multigrid, k, _pyramid_nodes),
+                _pow2_grid_builder("build_multigrid", k, _pyramid_nodes),
                 _mesh_beta(k),
                 LG,
                 k=k,
@@ -321,7 +346,7 @@ def _make_families() -> dict[str, FamilySpec]:
             FamilySpec(
                 f"pyramid_{k}",
                 f"Pyramid_{k}",
-                _pow2_grid_builder(build_pyramid, k, _pyramid_nodes),
+                _pow2_grid_builder("build_pyramid", k, _pyramid_nodes),
                 _mesh_beta(k),
                 LG,
                 k=k,

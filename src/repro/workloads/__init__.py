@@ -7,24 +7,28 @@ classification (quasi-symmetric or not).  Mirrors
 :mod:`repro.topologies.registry`.
 """
 
-from repro.workloads.collective import (
-    all_reduce_ring_traffic,
-    all_reduce_schedule,
-    all_reduce_time,
-    all_reduce_time_job,
-    all_reduce_tree_traffic,
-)
-from repro.workloads.generators import gate_mask, scale_free_traffic
-from repro.workloads.registry import (
-    WORKLOADS,
-    Workload,
-    WorkloadParam,
-    WorkloadSpec,
-    all_workload_keys,
-    build_workload,
-    resolve_workload,
-    workload_spec,
-)
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.collective": (
+        "all_reduce_ring_traffic",
+        "all_reduce_schedule",
+        "all_reduce_time",
+        "all_reduce_time_job",
+        "all_reduce_tree_traffic",
+    ),
+    "repro.workloads.generators": ("gate_mask", "scale_free_traffic"),
+    "repro.workloads.registry": (
+        "WORKLOADS",
+        "Workload",
+        "WorkloadParam",
+        "WorkloadSpec",
+        "all_workload_keys",
+        "build_workload",
+        "resolve_workload",
+        "workload_spec",
+    ),
+})
 
 __all__ = [
     "WORKLOADS",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro.routing.simulator import DEFAULT_ENGINE, RoutingSimulator
 from repro.topologies.base import Machine
+from repro.topologies.registry import family_spec
 from repro.traffic.distribution import TrafficDistribution
 from repro.util import check_positive_int
 
@@ -118,8 +119,6 @@ def all_reduce_time_job(spec: dict) -> dict:
     Spec keys: ``family``, ``size`` (default 64), ``kind`` (ring/tree),
     ``policy``, ``engine``.
     """
-    from repro.topologies.registry import family_spec
-
     family = spec["family"]
     machine = family_spec(family).build_with_size(int(spec.get("size", 64)))
     return all_reduce_time(

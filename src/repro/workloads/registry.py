@@ -22,23 +22,12 @@ used by the measurement code paths.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.traffic.distribution import (
-    TrafficDistribution,
-    bit_reversal_traffic,
-    hot_spot_traffic,
-    permutation_traffic,
-    quasi_symmetric_traffic,
-    symmetric_traffic,
-    transpose_traffic,
-)
-from repro.workloads.collective import (
-    all_reduce_ring_traffic,
-    all_reduce_tree_traffic,
-)
-from repro.workloads.generators import gate_mask, scale_free_traffic
+if TYPE_CHECKING:
+    from repro.traffic.distribution import TrafficDistribution
 
 __all__ = [
     "WORKLOADS",
@@ -119,6 +108,8 @@ class Workload:
         when the workload has no temporal structure)."""
         if self.gate is None:
             return None
+        from repro.workloads.generators import gate_mask
+
         return gate_mask(duration, *self.gate)
 
     def __repr__(self) -> str:
@@ -181,7 +172,24 @@ class WorkloadSpec:
         )
 
 
+# Each builder imports its generator module on its first call, so the
+# registry's metadata (keys, params, classification) loads no numpy:
+# ``repro workloads`` lists the scenarios without building one.
+
+
+def _generator(path: str) -> Callable[..., TrafficDistribution]:
+    """The generator at ``"module:function"``, called as ``f(n, **params)``."""
+    module, _, name = path.partition(":")
+
+    def build(n: int, **params: Any) -> TrafficDistribution:
+        return getattr(importlib.import_module(module), name)(n, **params)
+
+    return build
+
+
 def _bursty(n: int, on: int, off: int):
+    from repro.traffic.distribution import symmetric_traffic
+
     return symmetric_traffic(n), (on, off)
 
 
@@ -197,7 +205,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "symmetric",
             "Symmetric",
-            lambda n: symmetric_traffic(n),
+            _generator("repro.traffic.distribution:symmetric_traffic"),
             notes="every ordered pair equally likely; defines beta(M)",
         )
     )
@@ -205,9 +213,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "quasi_symmetric",
             "Quasi-Symmetric",
-            lambda n, fraction, seed: quasi_symmetric_traffic(
-                n, fraction=fraction, seed=seed
-            ),
+            _generator("repro.traffic.distribution:quasi_symmetric_traffic"),
             params=(
                 WorkloadParam("fraction", "float", 0.5, minimum=1e-6, maximum=1.0),
                 WorkloadParam("seed", "int", 0, minimum=0),
@@ -219,9 +225,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "hotspot",
             "Hot-Spot",
-            lambda n, hot, hot_fraction: hot_spot_traffic(
-                n, hot=hot, hot_fraction=hot_fraction
-            ),
+            _generator("repro.traffic.distribution:hot_spot_traffic"),
             params=(
                 WorkloadParam("hot", "int", 0, minimum=0),
                 WorkloadParam("hot_fraction", "float", 0.5, maximum=0.999),
@@ -247,7 +251,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "scale_free",
             "Scale-Free",
-            lambda n, alpha: scale_free_traffic(n, alpha=alpha),
+            _generator("repro.workloads.generators:scale_free_traffic"),
             params=(WorkloadParam("alpha", "float", 1.0, minimum=0.0, maximum=8.0),),
             quasi_symmetric=False,
             notes="pair weight (s+1)^-alpha * (d+1)^-alpha; hub-heavy",
@@ -257,7 +261,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "permutation",
             "Random Permutation",
-            lambda n, seed: permutation_traffic(n, seed=seed),
+            _generator("repro.traffic.distribution:permutation_traffic"),
             params=(WorkloadParam("seed", "int", 0, minimum=0),),
             quasi_symmetric=False,
             notes="fixed-point-free random permutation (n pairs)",
@@ -267,7 +271,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "transpose",
             "Matrix Transpose",
-            lambda n: transpose_traffic(n),
+            _generator("repro.traffic.distribution:transpose_traffic"),
             quasi_symmetric=False,
             requires="square n",
             notes="adversarial for meshes: r*side+c -> c*side+r",
@@ -277,7 +281,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "bit_reversal",
             "Bit Reversal",
-            lambda n: bit_reversal_traffic(n),
+            _generator("repro.traffic.distribution:bit_reversal_traffic"),
             quasi_symmetric=False,
             requires="power-of-two n",
             notes="adversarial for butterflies: address bits reversed",
@@ -287,7 +291,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "all_reduce_ring",
             "All-Reduce (ring)",
-            lambda n: all_reduce_ring_traffic(n),
+            _generator("repro.workloads.collective:all_reduce_ring_traffic"),
             quasi_symmetric=False,
             collective=True,
             notes="reduce-scatter + all-gather ring; n neighbour pairs",
@@ -297,7 +301,7 @@ def _make_workloads() -> dict[str, WorkloadSpec]:
         WorkloadSpec(
             "all_reduce_tree",
             "All-Reduce (tree)",
-            lambda n: all_reduce_tree_traffic(n),
+            _generator("repro.workloads.collective:all_reduce_tree_traffic"),
             quasi_symmetric=False,
             collective=True,
             notes="binary-tree reduce + broadcast over the implicit heap",

@@ -60,6 +60,7 @@ BAD_INPUTS = [
       "--workers", "1", "--quiet"],
      ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "5000"})),
     (["figure1", "--n", "0"], None),
+    (["figure1", "--n", str(10**309)], None),
 ]
 
 

@@ -15,6 +15,7 @@ import them as ``tests.test_fabric:<name>``.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -77,6 +78,15 @@ def always_transient_job(spec):
 def broken_job(spec):
     """Deterministic failure: retrying would be pointless."""
     raise ValueError("bad spec, every time")
+
+
+#: The process that imported this module.
+_IMPORTED_BY = os.getpid()
+
+
+def importer_pid_job(spec):
+    """Which process imported this module, and which one runs the cell."""
+    return {"imported_by": _IMPORTED_BY, "runs_in": os.getpid()}
 
 
 def _grid(n, fn="tests.test_fabric:double_job"):
@@ -284,6 +294,53 @@ class TestFabricSweep:
             e for e in sink.events if e.get("name") == "fabric.worker_spawned"
         ]
         assert len(spawned) == 2
+
+
+# -- forked workers inherit the job modules ----------------------------------
+
+_FRESH_SWEEP = """
+import json, os, sys
+from repro.fabric import FabricExecutor
+from repro.harness import Job, run_sweep
+
+assert "tests.test_fabric" not in sys.modules
+jobs = [Job("tests.test_fabric:importer_pid_job", {"x": x}) for x in range(4)]
+sweep = run_sweep(jobs, executor=FabricExecutor(num_workers=2))
+print(json.dumps({"coordinator": os.getpid(), "values": sweep.values}))
+"""
+
+
+class TestForkInheritance:
+    def test_workers_start_with_the_job_module_imported(self):
+        """The coordinator resolves each job function before it forks,
+        so a worker never imports a cell's module itself."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_SWEEP], capture_output=True,
+            text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.splitlines()[-1])
+        coordinator = out["coordinator"]
+        assert len(out["values"]) == 4
+        for value in out["values"]:
+            assert value["imported_by"] == coordinator, value
+            assert value["runs_in"] != coordinator, value
+
+    def test_unresolvable_job_fails_per_cell(self):
+        jobs = [
+            Job("repro.no_such_module:job", {"x": 0}),
+            Job("tests.test_fabric:no_such_job", {"x": 1}),
+            *_grid(2),
+        ]
+        serial = run_sweep(jobs)
+        fabric = run_sweep(jobs, executor=FabricExecutor(num_workers=2))
+        assert [r.ok for r in fabric.results] == [False, False, True, True]
+        assert [r.error for r in fabric.results] == [r.error for r in serial.results]
+        assert fabric.results[0].error == (
+            "ModuleNotFoundError: No module named 'repro.no_such_module'"
+        )
+        assert fabric.values[2:] == serial.values[2:]
 
 
 # -- failure modes: crashes mid-run ------------------------------------------

@@ -283,6 +283,80 @@ class TestLifecycle:
                 proc.communicate(timeout=10)
 
 
+#: Runs ``repro serve ARGS``; just before the URL line, prints which
+#: of the modules in argv[1] are still unimported.
+_BOOT_PROBE = """
+import builtins, json, sys
+
+modules = json.loads(sys.argv[1])
+print_ = builtins.print
+
+
+def probe(*args, **kwargs):
+    if "listening on" in " ".join(map(str, args)):
+        missing = [m for m in modules if m not in sys.modules]
+        print_(json.dumps(missing), flush=True)
+    print_(*args, **kwargs)
+
+
+builtins.print = probe
+from repro.cli import main
+
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _operation_job_modules() -> list[str]:
+    """The module of every job function the operation table runs."""
+    from repro.operations import OPERATIONS, catalog_jobs
+
+    requests = {
+        "bandwidth": [{"family": "mesh_2"},
+                      {"family": "mesh_2", "replicates": 3}],
+        "catalog": [{}],
+        "emulate": [{"guest": "de_bruijn", "host": "mesh_2"}],
+        "saturation": [{"family": "mesh_2"}],
+    }
+    assert set(requests) == {n for n, op in OPERATIONS.items() if op.schema}
+    modules = set()
+    for name, variants in requests.items():
+        op = OPERATIONS[name]
+        for params in variants:
+            valid = op.schema.validate(params)
+            jobs = catalog_jobs(valid) if op.job is None else [op.job(valid)]
+            modules |= {job.fn.partition(":")[0] for job in jobs}
+    return sorted(modules)
+
+
+class TestBootResolvesJobs:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_modules_imported_before_the_url(self, workers):
+        """Neither the first request nor a forked worker pays for the
+        job functions' imports: ``serve`` resolves them first."""
+        modules = _operation_job_modules()
+        assert len(modules) == 4, modules
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _BOOT_PROBE, json.dumps(modules),
+             "serve", "--port", "0", "--workers", str(workers)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        )
+        try:
+            missing = proc.stdout.readline()
+            boot = proc.stdout.readline()
+            match = re.search(r"listening on http://[\d.]+:(\d+)", boot)
+            assert match, (missing, boot)
+            _get_retry(int(match.group(1)), "/healthz")
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+            assert proc.returncode == 0, out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert json.loads(missing) == []
+
+
 class TestChooseStrategy:
     def test_default_on_this_platform(self):
         assert choose_strategy() in ("reuseport", "inherited")

@@ -8,9 +8,14 @@ cells (so a regression anywhere in the derivation chain fails loudly).
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,26 @@ import repro
 from repro.cli import main
 from repro.topologies import FAMILIES, all_family_keys, family_spec
 from repro.util.quiet import quiet_numerics
+
+
+#: The package roots that resolve their ``__all__`` on first access.
+LAZY_ROOTS = (
+    "repro",
+    "repro.bandwidth",
+    "repro.routing",
+    "repro.theory",
+    "repro.topologies",
+    "repro.util",
+    "repro.workloads",
+)
+
+#: Exported constants (no ``__module__``) -> the module defining them.
+_CONSTANTS = {
+    "DEFAULT_ENGINE": "repro.routing.engine_names",
+    "ENGINES": "repro.routing.engine_names",
+    "FAMILIES": "repro.topologies.registry",
+    "WORKLOADS": "repro.workloads.registry",
+}
 
 
 def _walk_public_modules():
@@ -61,8 +86,46 @@ class TestDocumentation:
         assert missing == []
 
     def test_package_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+        """The lazy package roots export what their eager imports did.
+
+        Every ``__all__`` name is the object its defining module holds,
+        ``from <root> import *`` binds exactly those names, ``dir()``
+        lists them, and an unknown name raises ``AttributeError``.
+        """
+        for root_name in LAZY_ROOTS:
+            root = importlib.import_module(root_name)
+            for name in root.__all__:
+                obj = getattr(root, name)
+                assert obj is not None, (root_name, name)
+                if name == "__version__":
+                    continue
+                home = getattr(obj, "__module__", None) or _CONSTANTS[name]
+                defined = getattr(importlib.import_module(home), name)
+                assert defined is obj, (root_name, name, home)
+            star: dict = {}
+            exec(f"from {root_name} import *", star)
+            del star["__builtins__"]
+            assert sorted(star) == sorted(root.__all__), root_name
+            assert all(star[name] is getattr(root, name) for name in star)
+            assert set(root.__all__) <= set(dir(root)), root_name
+            with pytest.raises(AttributeError, match="no_such_name"):
+                root.no_such_name
+
+    @pytest.mark.parametrize("root_name", LAZY_ROOTS)
+    def test_package_root_imports_nothing_until_read(self, root_name):
+        """A fresh ``import <root>`` loads none of the modules behind its
+        names."""
+        probe = (
+            f"import sys, {root_name}; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro')))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        loaded = set(ast.literal_eval(out))
+        assert loaded <= {"repro", "repro.util", "repro.util.lazy", root_name}
 
 
 class TestRegistryHygiene:

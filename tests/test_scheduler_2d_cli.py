@@ -217,15 +217,53 @@ class TestCli:
             main(["frobnicate"])
 
     def test_import_skips_the_http_stack(self):
-        """The CLI takes its schemas from repro.operations, outside the
-        service package, so no cold command pays for the HTTP server."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        probe = (
-            "import sys, repro.cli; print([m for m in "
-            "('http.server', 'repro.service.app') if m in sys.modules])"
+        """Each cold command imports only what it runs.
+
+        The CLI takes its schemas from repro.operations, outside the
+        service package, so no cold command pays for the HTTP server.
+        The package roots are lazy and the handlers import what they
+        call, so the commands that print registry metadata or symbolic
+        tables load none of numpy, scipy or networkx, and the ones that
+        compute never load ``scipy.optimize`` (only ``lp_bound`` needs
+        it).  Each check is a fresh interpreter.
+        """
+        numeric = {"numpy", "scipy", "networkx"}
+        light = [
+            ("-c", "import repro.cli"),
+            ("-m", "repro", "--help"),
+            ("-m", "repro", "families"),
+            ("-m", "repro", "workloads"),
+            ("-m", "repro", "tables"),
+            ("-m", "repro", "catalog"),
+        ]
+        compute = [
+            ("bandwidth", "mesh_2", "--size", "16"),
+            ("saturation", "mesh_2", "--size", "16", "--duration", "8"),
+            ("emulate", "de_bruijn", "mesh_2", "--guest-size", "16",
+             "--host-size", "4", "--steps", "1"),
+        ]
+        loaded = {
+            args: sorted(_imported(*args) & numeric) for args in light
+        }
+        loaded.update(
+            (args, sorted(_imported("-m", "repro", *args) & {"scipy.optimize"}))
+            for args in compute
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True,
-            check=True, env=dict(os.environ, PYTHONPATH=src),
-        ).stdout
-        assert out.strip() == "[]"
+        assert {args: mods for args, mods in loaded.items() if mods} == {}
+        http = {"http.server", "repro.service.app"}
+        assert _imported("-c", "import repro.cli") & http == set()
+
+
+def _imported(*args: str) -> set[str]:
+    """Every module a fresh ``python -X importtime <args>`` imports."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, (args, proc.stderr[-2000:])
+    return {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
