@@ -12,22 +12,18 @@ from __future__ import annotations
 
 import networkx as nx
 
-from repro.embedding.lower_bounds import candidate_cuts
+from repro.embedding.lower_bounds import candidate_cuts, cut_edges
 from repro.topologies.base import Machine
 
 __all__ = ["bisection_width_upper", "flux_beta_upper"]
 
 
-def _cut_size(machine: Machine, side: set[int]) -> int:
-    return sum(1 for u, v in machine.graph.edges() if (u in side) != (v in side))
-
-
-def bisection_width_upper(machine: Machine, refine: bool = True) -> int:
+def bisection_width_upper(machine: Machine) -> int:
     """Size of the best balanced cut found (>= true bisection width).
 
     Balanced means both sides have at least ``n // 3`` vertices (the
     1/3-2/3 convention).  Candidates come from the shared cut family;
-    optionally one Kernighan-Lin pass refines the best one.
+    up to n = 4096, one Kernighan-Lin pass refines the best one.
     """
     n = machine.num_nodes
     best_side: set[int] | None = None
@@ -35,14 +31,14 @@ def bisection_width_upper(machine: Machine, refine: bool = True) -> int:
     for side in candidate_cuts(machine):
         if min(len(side), n - len(side)) < n // 3:
             continue
-        c = _cut_size(machine, side)
+        c = cut_edges(machine, side)
         if best is None or c < best:
             best, best_side = c, side
     if best_side is None:
         # Fall back to a halved vertex ordering.
         best_side = set(range(n // 2))
-        best = _cut_size(machine, best_side)
-    if refine and n <= 4096:
+        best = cut_edges(machine, best_side)
+    if n <= 4096:
         try:
             part = nx.algorithms.community.kernighan_lin_bisection(
                 machine.graph,
@@ -50,7 +46,7 @@ def bisection_width_upper(machine: Machine, refine: bool = True) -> int:
                 max_iter=4,
                 seed=0,
             )
-            refined = _cut_size(machine, set(part[0]))
+            refined = cut_edges(machine, set(part[0]))
             best = min(best, refined)
         except Exception:
             pass

@@ -31,6 +31,7 @@ __all__ = [
     "beta_lower",
     "beta_upper",
     "beta_bracket",
+    "numeric_slowdown_bound",
 ]
 
 
@@ -119,41 +120,45 @@ def routing_congestion(
     return int(np.ceil(loads_arr.max() / 2)) if len(loads_arr) else 0
 
 
+def _beta(n: int, congestion: float) -> float:
+    """``E(K_n) / C``: the bandwidth a complete-traffic congestion gives."""
+    return (n * (n - 1) / 2) / congestion if congestion > 0 else float("inf")
+
+
 def beta_lower(machine: Machine) -> float:
     """Lower bound on beta(H): complete-traffic edges over achieved congestion."""
-    n = machine.num_nodes
-    c_up = routing_congestion(machine)
-    if c_up == 0:
-        return float("inf")
-    return (n * (n - 1) / 2) / c_up
+    return _beta(machine.num_nodes, routing_congestion(machine))
 
 
-def beta_upper(machine: Machine, max_cuts: int = 24) -> float:
+def beta_upper(machine: Machine) -> float:
     """Upper bound on beta(H) from the best congestion cut bound."""
-    n = machine.num_nodes
-    c_low = congestion_lower_bound(machine, n_guest=n, max_cuts=max_cuts)
-    if c_low <= 0:
-        return float("inf")
-    return (n * (n - 1) / 2) / c_low
+    return _beta(machine.num_nodes, congestion_lower_bound(machine))
 
 
-def beta_bracket(machine: Machine, max_cuts: int = 24) -> BetaBracket:
+def beta_bracket(machine: Machine) -> BetaBracket:
     """Rigorous [lower, upper] interval for the machine bandwidth beta(H)."""
     n = machine.num_nodes
-    edges = n * (n - 1) / 2
     c_up = routing_congestion(machine)
-    c_low = congestion_lower_bound(machine, n_guest=n, max_cuts=max_cuts)
-    lower = edges / c_up if c_up else float("inf")
-    upper = edges / c_low if c_low else float("inf")
+    c_low = congestion_lower_bound(machine)
+    lower, upper = _beta(n, c_up), _beta(n, c_low)
     # The bracket is valid by construction; numeric ties can invert it by
     # rounding, so clamp.
     if lower > upper:
-        lower, upper = min(lower, upper), max(lower, upper)
+        lower, upper = upper, lower
     return BetaBracket(
         machine_name=machine.name,
         lower=lower,
         upper=upper,
         congestion_upper=float(c_up),
         congestion_lower=float(c_low),
-        traffic_edges=edges,
+        traffic_edges=n * (n - 1) / 2,
     )
+
+
+def numeric_slowdown_bound(guest: Machine, host: Machine) -> float:
+    """Theorem 1, certified: the guest's *lower* beta over the host's *upper* beta.
+
+    The conservative direction, so the result is a true lower bound on
+    the Theta-level ratio; only those two bracket halves are computed.
+    """
+    return beta_lower(guest) / beta_upper(host)

@@ -58,6 +58,9 @@ _FIGURE1_N = Field(
     help="guest size",
 )
 
+#: ``serve --port`` and ``loadtest --port``: a TCP port (0 = ephemeral).
+_PORT = Field("port", "int", default=8080, minimum=0, maximum=65535, help="TCP port")
+
 
 def _add_field(parser: argparse.ArgumentParser, field: Field) -> None:
     """One argument for a schema field: positional when required, else
@@ -621,7 +624,7 @@ def _cmd_serve(args) -> int:
         raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
     options = dict(
         host=args.host,
-        port=args.port,
+        port=_PORT.coerce(args.port),
         store=args.store,
         cache_size=args.cache_size,
         ttl=args.ttl,
@@ -647,6 +650,7 @@ def _cmd_serve(args) -> int:
 def _cmd_loadtest(args) -> int:
     from repro.loadgen import resolve_mix, run_closed_loop, run_open_loop
 
+    port = _PORT.coerce(args.port)
     try:
         mix = resolve_mix(
             args.mix, size=args.mix_size, cold_fraction=args.cold_fraction
@@ -658,7 +662,7 @@ def _cmd_loadtest(args) -> int:
                          "(target offered requests/second)")
     if args.mode == "closed":
         result = run_closed_loop(
-            args.host, args.port, mix,
+            args.host, port, mix,
             connections=args.connections,
             duration=args.duration,
             seed=args.seed,
@@ -666,7 +670,7 @@ def _cmd_loadtest(args) -> int:
         )
     else:
         result = run_open_loop(
-            args.host, args.port, mix,
+            args.host, port, mix,
             rate=args.rate,
             duration=args.duration,
             connections=args.connections,
@@ -700,7 +704,7 @@ def _cmd_loadtest(args) -> int:
         ))
     print(format_table(
         ["field", "value"], rows,
-        title=f"loadtest {args.host}:{args.port}",
+        title=f"loadtest {args.host}:{port}",
     ))
     if record["mode"] == "open" and record["unsent"]:
         print(f"warning: {record['unsent']} scheduled arrivals were never "
@@ -916,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sv.add_argument("--host", default="127.0.0.1")
-    sv.add_argument("--port", type=int, default=8080)
+    _add_field(sv, _PORT)
     sv.add_argument(
         "--store", default=None, metavar="DIR",
         help="result-store directory (tier-2 cache, shared with sweeps)",
@@ -969,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     lt.add_argument("--host", default="127.0.0.1")
-    lt.add_argument("--port", type=int, default=8080)
+    _add_field(lt, _PORT)
     lt.add_argument(
         "--mode", choices=["closed", "open"], default="closed",
         help="closed = capacity probe; open = latency under offered load",

@@ -133,7 +133,6 @@ def _fiedler_order(graph: nx.Graph) -> list:
     except Exception:
         return _bfs_order(graph, nodes[0])
     order = np.argsort(fiedler, kind="stable")
-    index = {v: i for i, v in enumerate(graph.nodes())}
     ordered_nodes = list(graph.nodes())
     return [ordered_nodes[i] for i in order]
 

@@ -26,15 +26,16 @@ from repro.util.quiet import quiet_numerics
 
 __all__ = [
     "candidate_cuts",
+    "cut_edges",
     "cut_congestion_bound",
     "congestion_lower_bound",
 ]
 
 
-def candidate_cuts(machine: Machine, max_cuts: int = 24) -> list[set[int]]:
+def candidate_cuts(machine: Machine) -> list[set[int]]:
     """Generate candidate vertex cuts: spectral sweep + BFS balls.
 
-    Returns a list of vertex sets ``S`` (one side of each cut).
+    Returns a list of at most ten vertex sets ``S`` (one side of each cut).
     """
     g = machine.graph
     n = machine.num_nodes
@@ -65,7 +66,7 @@ def candidate_cuts(machine: Machine, max_cuts: int = 24) -> list[set[int]]:
             if 0 < len(ball) < n:
                 cuts.append(ball)
 
-    # Dedup, keep proper cuts, cap the count.
+    # Dedup, keep proper cuts.
     seen: set[frozenset[int]] = set()
     out = []
     for s in cuts:
@@ -73,12 +74,11 @@ def candidate_cuts(machine: Machine, max_cuts: int = 24) -> list[set[int]]:
         if 0 < len(f) < n and f not in seen:
             seen.add(f)
             out.append(set(f))
-        if len(out) >= max_cuts:
-            break
     return out
 
 
-def _cut_edge_count(machine: Machine, side: set[int]) -> int:
+def cut_edges(machine: Machine, side: set[int]) -> int:
+    """Number of machine links with exactly one end in ``side``."""
     return sum(1 for u, v in machine.graph.edges() if (u in side) != (v in side))
 
 
@@ -91,8 +91,8 @@ def cut_congestion_bound(
         raise ValueError("cut side must be a proper nonempty subset")
     if n_guest > n:
         raise ValueError(f"guest ({n_guest}) larger than host ({n})")
-    cut_edges = _cut_edge_count(machine, side)
-    if cut_edges == 0:
+    links = cut_edges(machine, side)
+    if links == 0:
         raise ValueError("host is disconnected across the given cut")
     inside_cap = len(side)
     outside_cap = n - inside_cap
@@ -100,14 +100,13 @@ def cut_congestion_bound(
     b = max(0, n_guest - inside_cap)  # forced outside S
     forced = max(a, b)
     crossing = multiplicity * forced * (n_guest - forced)
-    return crossing / cut_edges
+    return crossing / links
 
 
 def congestion_lower_bound(
     machine: Machine,
     n_guest: int | None = None,
     multiplicity: int = 1,
-    max_cuts: int = 24,
 ) -> float:
     """Best congestion lower bound over the candidate-cut family.
 
@@ -117,7 +116,7 @@ def congestion_lower_bound(
     if n_guest is None:
         n_guest = machine.num_nodes
     best = 0.0
-    for side in candidate_cuts(machine, max_cuts=max_cuts):
+    for side in candidate_cuts(machine):
         best = max(
             best, cut_congestion_bound(machine, n_guest, side, multiplicity)
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bandwidth.graph_theoretic import beta_bracket
+from repro.bandwidth.graph_theoretic import numeric_slowdown_bound
 from repro.embedding.embedders import _bfs_order
 from repro.obs import trace as obs
 from repro.routing.simulator import RoutingSimulator
@@ -173,11 +173,7 @@ class Emulator:
 
             n, m = self.guest.num_nodes, self.host.num_nodes
             with obs.span("emulate.bounds"):
-                bg = beta_bracket(self.guest)
-                bh = beta_bracket(self.host)
-            # Conservative numeric bound: guest's certified lower beta over
-            # host's certified upper beta.
-            bw_bound = bg.lower / bh.upper if bh.upper > 0 else float("inf")
+                bw_bound = numeric_slowdown_bound(self.guest, self.host)
             sp.set(host_time=host_time, load=load, comm_ticks=route_time)
         obs.add("emulate.steps", steps)
         obs.add("emulate.host_ticks", host_time)

@@ -61,9 +61,10 @@ class GammaConstruction:
     def bandwidth_ratio(self) -> float:
         """beta(Phi, gamma) / (t * beta(G)): Lemma 9 says Omega(1).
 
-        Uses the guest's certified beta lower bound in the denominator's
-        place of Theta(beta(G)), so a ratio bounded away from 0 across
-        sizes witnesses the lemma.
+        Uses the guest's certified beta *upper* bound in the
+        denominator's place of Theta(beta(G)).  That is the conservative
+        choice: it can only shrink the ratio, so a ratio bounded away
+        from 0 across sizes witnesses the lemma.
         """
         denom = self.depth * self.guest_beta_upper
         if denom == 0:

@@ -225,15 +225,15 @@ def reproduce_all(
 
     Returns the summary dict (also written to ``summary.json``).
     ``quick`` shrinks sizes for a fast smoke run; ``only`` restricts to a
-    subset of experiment ids.
+    subset of experiment ids (``ValueError`` for an unknown one).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary: dict[str, Any] = {"quick": quick, "experiments": {}}
     chosen = only or list(EXPERIMENTS)
     unknown = [k for k in chosen if k not in EXPERIMENTS]
     if unknown:
-        raise KeyError(f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}")
+        raise ValueError(f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary: dict[str, Any] = {"quick": quick, "experiments": {}}
     for key in chosen:
         desc, runner = EXPERIMENTS[key]
         t0 = time.perf_counter()

@@ -41,10 +41,6 @@ class SaturationPoint:
     p99_latency: float
     max_queue: int
 
-    @property
-    def per_node_delivered(self) -> float:
-        return self.delivered_rate
-
     def __str__(self) -> str:
         return (
             f"r={self.offered_rate:.3f}: delivered {self.delivered_rate:.2f}/tick, "

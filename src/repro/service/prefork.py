@@ -63,6 +63,7 @@ from typing import Any
 
 from repro import __version__
 from repro.harness.jobs import BUILTIN_JOBS, preload_jobs
+from repro.service.server import listen_error
 from repro.util.validation import UnavailableError
 
 __all__ = [
@@ -397,7 +398,11 @@ def serve_prefork(
     lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     if strategy == "reuseport":
         lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    lsock.bind((host, port))
+    try:
+        lsock.bind((host, port))
+    except OSError as exc:
+        lsock.close()
+        raise listen_error(host, port, exc) from exc
     bound_host, bound_port = lsock.getsockname()[:2]
     if strategy == "inherited":
         # Workers accept on this inherited descriptor.

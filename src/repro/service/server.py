@@ -38,6 +38,7 @@ from repro.harness import ResultStore
 from repro.harness.jobs import BUILTIN_JOBS, preload_jobs
 from repro.obs import trace as obs
 from repro.service.app import QueryService
+from repro.util.validation import UnavailableError
 
 __all__ = ["ServiceHandler", "ServiceServer", "create_server", "serve"]
 
@@ -227,8 +228,16 @@ def create_server(
         snapshot=opened_snapshot,
         prefork=prefork,
     )
-    return ServiceServer((host, port), service, max_workers=max_workers,
-                         verbose=verbose, sock=sock)
+    try:
+        return ServiceServer((host, port), service, max_workers=max_workers,
+                             verbose=verbose, sock=sock)
+    except OSError as exc:
+        raise listen_error(host, port, exc) from exc
+
+
+def listen_error(host: str, port: int, exc: OSError) -> UnavailableError:
+    """What both tiers raise when ``host:port`` cannot be bound."""
+    return UnavailableError(f"cannot listen on {host}:{port}: {exc.strerror or exc}")
 
 
 def serve(

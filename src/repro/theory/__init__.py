@@ -1,8 +1,8 @@
 """The paper's results, executable.
 
-* :mod:`slowdown` -- the Efficient Emulation Theorem (Theorem 1):
-  symbolic and numeric lower bounds ``S_c >= Omega(beta_G / beta_H)``,
-  and Lemma 8's routing-time bound;
+* :mod:`slowdown` -- Theorem 1's symbolic ``S_c >= Omega(beta_G / beta_H)``
+  (its certified numeric form, :func:`numeric_slowdown_bound`, sits
+  beside the beta bracket) and Lemma 8's routing-time bound;
 * :mod:`host_size` -- the maximum-host-size solver behind Tables 1-3
   (set communication slowdown = load slowdown, solve for ``|H|``);
 * :mod:`tables` -- programmatic Tables 1, 2, 3 and 4;
@@ -28,10 +28,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "lam_numeric",
         "lemma9_depth_condition",
     ),
+    "repro.bandwidth.graph_theoretic": ("numeric_slowdown_bound",),
     "repro.theory.slowdown": (
         "SlowdownBound",
         "lemma8_time_lower",
-        "numeric_slowdown_bound",
         "symbolic_slowdown",
     ),
     "repro.theory.tables": (

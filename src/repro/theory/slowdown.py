@@ -1,4 +1,4 @@
-"""Theorem 1 (Efficient Emulation Theorem) and Lemma 8.
+"""Theorem 1 (Efficient Emulation Theorem), symbolically, and Lemma 8.
 
 The communication-induced slowdown of any sufficiently long efficient
 emulation of guest ``G`` on bottleneck-free host ``H`` is
@@ -9,23 +9,25 @@ Because guest and host sizes are different variables, the symbolic bound
 is carried as a :class:`SlowdownBound` holding ``beta_G(n)`` and
 ``beta_H(m)`` separately; it evaluates numerically at any ``(n, m)`` and
 specialises to a one-variable LogPoly when ``m`` is a known function of
-``n``.
+``n``.  The certified bound on concrete machines is
+:func:`repro.bandwidth.graph_theoretic.numeric_slowdown_bound`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.asymptotics import LogPoly, substitute
-from repro.bandwidth.graph_theoretic import beta_bracket
-from repro.topologies.base import Machine
 from repro.topologies.registry import family_spec
-from repro.traffic.multigraph import TrafficMultigraph
+
+if TYPE_CHECKING:  # figure1 imports this module; keep numpy and networkx out
+    from repro.topologies.base import Machine
+    from repro.traffic.multigraph import TrafficMultigraph
 
 __all__ = [
     "SlowdownBound",
     "symbolic_slowdown",
-    "numeric_slowdown_bound",
     "lemma8_time_lower",
 ]
 
@@ -65,20 +67,6 @@ def symbolic_slowdown(guest_key: str, host_key: str) -> SlowdownBound:
     )
 
 
-def numeric_slowdown_bound(guest: Machine, host: Machine) -> float:
-    """Certified numeric slowdown bound from measured beta brackets.
-
-    Conservative direction: guest's certified *lower* beta over host's
-    certified *upper* beta, so the result is a true lower bound on the
-    Theta-level ratio.
-    """
-    bg = beta_bracket(guest)
-    bh = beta_bracket(host)
-    if bh.upper <= 0:
-        return float("inf")
-    return bg.lower / bh.upper
-
-
 def lemma8_time_lower(pattern: TrafficMultigraph, host: Machine) -> float:
     """Lemma 8, executable: time to 1-to-1 execute pattern ``C`` on ``H``.
 
@@ -101,12 +89,11 @@ def lemma8_time_lower(pattern: TrafficMultigraph, host: Machine) -> float:
         raise ValueError(
             f"pattern has {pattern.n} vertices, host only {host.num_nodes}"
         )
-    from repro.embedding.lower_bounds import candidate_cuts
+    from repro.embedding.lower_bounds import candidate_cuts, cut_edges
 
     bound = pattern.num_simple_edges / (2 * host.num_edges)
-    host_edges = list(host.graph.edges())
     for side in candidate_cuts(host):
-        cut_links = sum(1 for u, v in host_edges if (u in side) != (v in side))
+        cut_links = cut_edges(host, side)
         if cut_links == 0:
             continue
         crossing = sum(

@@ -13,6 +13,7 @@ serializers' shapes so scripts can switch between the CLI and
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -61,6 +62,9 @@ BAD_INPUTS = [
      ("GET", "/v1/bandwidth", {"family": "mesh_2", "size": "5000"})),
     (["figure1", "--n", "0"], None),
     (["figure1", "--n", str(10**309)], None),
+    (["serve", "--port", "99999"], None),
+    (["serve", "--port", "-1"], None),
+    (["reproduce", "--only", "nosuch", "--out", "{tmp}/results"], None),
 ]
 
 
@@ -340,6 +344,21 @@ class TestPreforkUnavailableErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--workers", "0", "--port", "0"])
         assert str(excinfo.value).startswith("error:")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_serve_on_a_busy_port_is_one_error_line(workers):
+    """Both tiers report a port they cannot bind as one line, not an
+    ``OSError`` traceback."""
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", str(port), "--workers", workers])
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
 
 
 class TestSweepResumeErrors:

@@ -103,7 +103,7 @@ class TestReproduceAll:
         assert data["data"]["mesh_2"]["xtree"] == "n^(1/2) lg(n)"
 
     def test_unknown_experiment_rejected(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             reproduce_all(tmp_path, only=["tableX"])
 
     def test_registry_complete(self):

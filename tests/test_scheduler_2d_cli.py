@@ -235,6 +235,7 @@ class TestCli:
             ("-m", "repro", "workloads"),
             ("-m", "repro", "tables"),
             ("-m", "repro", "catalog"),
+            ("-m", "repro", "figure1"),
         ]
         compute = [
             ("bandwidth", "mesh_2", "--size", "16"),

@@ -72,6 +72,32 @@ class TestNumericSlowdown:
         m = build_mesh(6, 2)
         assert numeric_slowdown_bound(m, m) <= 1.0
 
+    @pytest.mark.parametrize("caller", ["numeric_slowdown_bound", "Emulator.run"])
+    def test_computes_only_the_bracket_halves_it_reads(self, monkeypatch, caller):
+        """The bound reads the guest's lower beta and the host's upper
+        beta, so it routes the guest once and cuts the host once."""
+        from repro.bandwidth import graph_theoretic
+        from repro.emulation import Emulator
+
+        calls = []
+        for name in ("routing_congestion", "congestion_lower_bound"):
+            real = getattr(graph_theoretic, name)
+
+            def counted(machine, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, machine.name))
+                return _real(machine, *args, **kwargs)
+
+            monkeypatch.setattr(graph_theoretic, name, counted)
+        guest, host = build_de_bruijn(6), build_linear_array(16)
+        if caller == "Emulator.run":
+            Emulator(guest, host).run(1)
+        else:
+            numeric_slowdown_bound(guest, host)
+        assert sorted(calls) == [
+            ("congestion_lower_bound", host.name),
+            ("routing_congestion", guest.name),
+        ]
+
 
 class TestLemma8:
     def test_time_lower_bound(self):
