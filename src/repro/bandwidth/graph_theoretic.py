@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.embedding.lower_bounds import congestion_lower_bound
+from repro.obs import trace as obs
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
 from repro.traffic.multigraph import TrafficMultigraph
@@ -70,54 +71,34 @@ def routing_congestion(
     valid congestion of a one-path-per-pair routing up to the +/-1 of
     direction asymmetry (and exact at Theta level).
 
-    The complete-traffic case runs on the machine-shared dense next-hop
-    tables, accumulating all destination trees at once level by level
-    (deepest first) with vectorized scatter-adds.
+    The complete-traffic case reduces the machine-shared tables'
+    per-directed-edge loads (:meth:`NextHopTables.complete_loads`): it
+    sums both directions of each link, takes the largest, and halves.
     """
-    n = machine.num_nodes
-    tables = NextHopTables.shared(machine)
+    with obs.span("bandwidth.congestion"):
+        tables = NextHopTables.shared(machine)
+        if traffic is not None:
+            loads: dict[tuple[int, int], int] = {}
+            for (u, v), w in traffic.weights.items():
+                path = tables.path(u, v)
+                for a, b in zip(path, path[1:]):
+                    key = (a, b) if a < b else (b, a)
+                    loads[key] = loads.get(key, 0) + w
+            return max(loads.values()) if loads else 0
 
-    if traffic is not None:
-        loads: dict[tuple[int, int], int] = {}
-        for (u, v), w in traffic.weights.items():
-            path = tables.path(u, v)
-            for a, b in zip(path, path[1:]):
-                key = (a, b) if a < b else (b, a)
-                loads[key] = loads.get(key, 0) + w
-        return max(loads.values()) if loads else 0
-
-    # Complete traffic: subtree sizes along each destination tree.  A
-    # node at BFS level L hands its accumulated subtree size to its
-    # parent at level L-1, so sweeping levels deepest-first accumulates
-    # every tree simultaneously: sizes[v, d] = subtree size of v in the
-    # destination-d tree, and each hand-off loads the (v, parent) link.
-    dense = tables.ensure_dense()
-    dist, nxt = dense.dist, dense.next_hop
-    if machine.num_edges == 0:
-        return 0
-    # Map each directed edge id to its undirected edge index.
-    csr = machine.csr_adjacency()
-    lo = np.minimum(csr.edge_src, csr.edge_dst).astype(np.int64)
-    hi = np.maximum(csr.edge_src, csr.edge_dst).astype(np.int64)
-    undirected = {}
-    for a, b in zip(lo, hi):
-        undirected.setdefault((int(a), int(b)), len(undirected))
-    uid_of_edge = np.fromiter(
-        (undirected[(int(a), int(b))] for a, b in zip(lo, hi)),
-        dtype=np.int64,
-        count=len(lo),
-    )
-    loads_arr = np.zeros(len(undirected), dtype=np.int64)
-
-    sizes = np.ones((n, n), dtype=np.int64)
-    for level in range(int(dist.max()), 0, -1):
-        v_idx, d_idx = np.nonzero(dist == level)
-        parents = nxt[v_idx, d_idx].astype(np.int64)
-        contrib = sizes[v_idx, d_idx]
-        np.add.at(sizes, (parents, d_idx), contrib)
-        np.add.at(loads_arr, uid_of_edge[dense.next_eid[v_idx, d_idx]], contrib)
-    # Ordered pairs were routed (every s->d); halve for unordered.
-    return int(np.ceil(loads_arr.max() / 2)) if len(loads_arr) else 0
+        directed = tables.complete_loads()
+        if machine.num_edges == 0:
+            return 0
+        # Pair each directed edge with its link: both directions (and
+        # any parallel copies) share one (min, max) endpoint key.
+        csr = machine.csr_adjacency()
+        lo = np.minimum(csr.edge_src, csr.edge_dst).astype(np.int64)
+        hi = np.maximum(csr.edge_src, csr.edge_dst).astype(np.int64)
+        _, link = np.unique(lo * machine.num_nodes + hi, return_inverse=True)
+        link_loads = np.zeros(int(link.max()) + 1, dtype=np.int64)
+        np.add.at(link_loads, link, directed)
+        # Ordered pairs were routed (every s->d); halve for unordered.
+        return (int(link_loads.max()) + 1) // 2
 
 
 def _beta(n: int, congestion: float) -> float:
@@ -138,8 +119,9 @@ def beta_upper(machine: Machine) -> float:
 def beta_bracket(machine: Machine) -> BetaBracket:
     """Rigorous [lower, upper] interval for the machine bandwidth beta(H)."""
     n = machine.num_nodes
-    c_up = routing_congestion(machine)
-    c_low = congestion_lower_bound(machine)
+    with obs.span("bandwidth.bracket"):
+        c_up = routing_congestion(machine)
+        c_low = congestion_lower_bound(machine)
     lower, upper = _beta(n, c_up), _beta(n, c_low)
     # The bracket is valid by construction; numeric ties can invert it by
     # rounding, so clamp.

@@ -21,6 +21,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
+from repro.obs import trace as obs
 from repro.topologies.base import Machine
 from repro.util.quiet import quiet_numerics
 
@@ -116,8 +117,9 @@ def congestion_lower_bound(
     if n_guest is None:
         n_guest = machine.num_nodes
     best = 0.0
-    for side in candidate_cuts(machine):
-        best = max(
-            best, cut_congestion_bound(machine, n_guest, side, multiplicity)
-        )
+    with obs.span("bandwidth.cuts"):
+        for side in candidate_cuts(machine):
+            best = max(
+                best, cut_congestion_bound(machine, n_guest, side, multiplicity)
+            )
     return best

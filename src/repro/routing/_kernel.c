@@ -1,4 +1,5 @@
-/* The routing tick kernel behind engine="compiled".
+/* The routing tick kernel behind engine="compiled", and the dense
+ * next-hop table builder behind NextHopTables.ensure_dense.
  *
  * repro.routing.compiled builds this file at first use with the system
  * C compiler (`cc -O2 -shared -fPIC`), caches the shared object on disk
@@ -263,4 +264,92 @@ void route_kernel(
     out[2] = max_queue;
     out[3] = skipped;
     out[4] = 0;
+}
+
+
+/* All-destinations next-hop tables and complete-traffic link loads.
+ *
+ * One BFS per destination d over the CSR adjacency (indptr, indices;
+ * CSR slot e is directed edge e) fills column d of the row-major
+ * [node, dest] int32 tables dist, next_hop and next_eid.  The tie-break
+ * is the one repro.routing.tables specifies: among v's CSR slots whose
+ * neighbour is one step closer to d, take the (h mod count)-th, with
+ * h = (v * 2654435761 + d * 1099087573) & 0x7FFFFFFF in int64.
+ *
+ * Walking the BFS queue backwards (deepest first), each node hands its
+ * subtree size to its next hop and adds it to the link it forwards on,
+ * so loads[e] (zeroed by the caller) ends as the number of ordered
+ * pairs (s, d) whose next-hop path crosses directed edge e.
+ *
+ * queue, level, via and size are n-long scratch.  Returns 0, or 1 when
+ * some node cannot reach d (a disconnected graph).
+ */
+int64_t dense_tables(
+    const int64_t *indptr,
+    const int64_t *indices,
+    int64_t n,
+    int32_t *dist,
+    int32_t *next_hop,
+    int32_t *next_eid,
+    int64_t *loads,
+    int64_t *queue,
+    int64_t *level,
+    int64_t *via,
+    int64_t *size)
+{
+    for (int64_t d = 0; d < n; d++) {
+        for (int64_t v = 0; v < n; v++)
+            level[v] = -1;
+        level[d] = 0;
+        queue[0] = d;
+        int64_t tail = 1;
+        for (int64_t head = 0; head < tail; head++) {
+            int64_t v = queue[head];
+            for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+                int64_t w = indices[e];
+                if (level[w] < 0) {
+                    level[w] = level[v] + 1;
+                    queue[tail++] = w;
+                }
+            }
+        }
+        if (tail < n)
+            return 1;
+
+        for (int64_t v = 0; v < n; v++) {
+            int64_t slot = v * n + d;
+            dist[slot] = (int32_t)level[v];
+            if (v == d) {
+                next_hop[slot] = (int32_t)d;
+                next_eid[slot] = -1;
+                continue;
+            }
+            int64_t closer = level[v] - 1;
+            int64_t count = 0;
+            for (int64_t e = indptr[v]; e < indptr[v + 1]; e++)
+                count += level[indices[e]] == closer;
+            if (count == 0)
+                return 1; /* only a directed graph gets here */
+            int64_t h = (v * 2654435761LL + d * 1099087573LL) & 0x7FFFFFFF;
+            int64_t rank = h % count;
+            int64_t e = indptr[v];
+            for (;; e++) {
+                if (level[indices[e]] == closer && rank-- == 0)
+                    break;
+            }
+            next_hop[slot] = (int32_t)indices[e];
+            next_eid[slot] = (int32_t)e;
+            via[v] = e;
+        }
+
+        for (int64_t v = 0; v < n; v++)
+            size[v] = 1;
+        for (int64_t i = n - 1; i > 0; i--) {
+            int64_t v = queue[i];
+            int64_t e = via[v];
+            size[indices[e]] += size[v];
+            loads[e] += size[v];
+        }
+    }
+    return 0;
 }

@@ -1,10 +1,13 @@
-"""The compiled routing engine (``engine="compiled"``).
+"""The compiled routing engine (``engine="compiled"``) and table builder.
 
-``routing/_kernel.c`` holds the whole tick loop in C.  At first use it
-is built with the system C compiler into a shared object cached on
-disk keyed by a hash of the source, warmed on a two-node toy route, and
-called through :mod:`ctypes` -- no ``Python.h``, no build dependency
-beyond ``cc``.
+``routing/_kernel.c`` holds the whole tick loop in C, and the one-pass
+builder of the dense next-hop tables that
+:meth:`repro.routing.tables.NextHopTables.ensure_dense` uses whenever
+this provider works.  At first use it is built with the system C
+compiler into a shared object cached on disk keyed by a hash of the
+source, warmed on a two-node toy route and a 3-cube's tables,
+and called through :mod:`ctypes` -- no ``Python.h``, no build
+dependency beyond ``cc``.
 
 Setting the ``REPRO_COMPILED`` environment variable to ``off`` hides
 the provider, so machines that have a toolchain can exercise the
@@ -29,12 +32,13 @@ import os
 import shutil
 import subprocess
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.routing.engine import flatten_legs
 from repro.routing.tables import NextHopTables
-from repro.topologies.base import Machine
+from repro.topologies.base import CSRAdjacency, Machine
 from repro.util.validation import UnavailableError
 
 __all__ = [
@@ -59,12 +63,25 @@ class EngineUnavailableError(UnavailableError):
 
 
 # -- provider discovery --------------------------------------------------------
-#
-# A provider is ``(name, runner)``: runner takes the kernel's arrays and
-# scalars (see _kernel.c) and returns its 5-tuple ``(status, total_time,
-# max_queue, ticks_skipped, undelivered_left)``.
 
-_cache: dict[str, tuple[str, object] | None] = {}
+
+class Provider(NamedTuple):
+    """One working build of ``_kernel.c``.
+
+    ``route`` takes the tick kernel's arrays and scalars (see _kernel.c)
+    and returns its 5-tuple ``(status, total_time, max_queue,
+    ticks_skipped, undelivered_left)``.  ``tables`` takes a
+    :class:`~repro.topologies.base.CSRAdjacency` and returns ``(dist,
+    next_hop, next_eid, loads)``: the three ``[node, dest]`` int32
+    tables and the int64 complete-traffic load of each directed edge.
+    """
+
+    name: str
+    route: Callable
+    tables: Callable
+
+
+_cache: dict[str, Provider | None] = {}
 _reasons: dict[str, str] = {}
 
 
@@ -74,9 +91,9 @@ def _mode() -> str:
     return "off" if value == "off" else "auto"
 
 
-def _warmup(runner) -> None:
+def _warmup(runner, tables) -> None:
     """Route one packet across a two-node machine, exercising the
-    kernel end to end."""
+    kernel end to end, then check the table builder on a 3-cube."""
     i32, i64 = np.int32, np.int64
     out = runner(
         np.array([0, 1], dtype=i64),  # leg_flat
@@ -108,6 +125,44 @@ def _warmup(runner) -> None:
     )
     if tuple(int(x) for x in out) != (0, 1, 1, 0, 0):
         raise AssertionError(f"kernel warmup produced {out!r}")
+
+    # A 3-cube, whose antipodal pairs tie three ways and the rest of the
+    # pairs two ways, so the hash is checked modulo both counts.
+    nbrs = [sorted(v ^ bit for bit in (1, 2, 4)) for v in range(8)]
+    cube = CSRAdjacency(
+        np.arange(0, 25, 3, dtype=i32),
+        np.array(sum(nbrs, []), dtype=i32),
+        np.repeat(np.arange(8, dtype=i32), 3),
+    )
+    built = [a.ravel().tolist() for a in tables(cube)]
+    expected = [  # the NumPy build's dist, next_hop, next_eid and loads
+        [
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 0, 2, 1, 2, 1, 3, 2,
+            1, 2, 0, 1, 2, 3, 1, 2, 2, 1, 1, 0, 3, 2, 2, 1,
+            1, 2, 2, 3, 0, 1, 1, 2, 2, 1, 3, 2, 1, 0, 2, 1,
+            2, 3, 1, 2, 1, 2, 0, 1, 3, 2, 2, 1, 2, 1, 1, 0,
+        ],
+        [
+            0, 1, 2, 2, 4, 4, 2, 2, 0, 1, 3, 3, 5, 5, 5, 3,
+            0, 3, 2, 3, 0, 0, 6, 6, 2, 1, 2, 3, 1, 1, 7, 7,
+            0, 5, 0, 5, 4, 5, 6, 6, 4, 1, 7, 1, 4, 5, 7, 7,
+            2, 7, 2, 7, 4, 7, 6, 7, 3, 3, 6, 3, 6, 5, 6, 7,
+        ],
+        [
+            -1, 0, 1, 1, 2, 2, 1, 1, 3, -1, 4, 4, 5, 5, 5, 4,
+            6, 7, -1, 7, 6, 6, 8, 8, 10, 9, 10, -1, 9, 9, 11, 11,
+            12, 13, 12, 13, -1, 13, 14, 14, 16, 15, 17, 15, 16, -1, 17, 17,
+            18, 20, 18, 20, 19, 20, -1, 20, 21, 21, 23, 21, 23, 22, 23, -1,
+        ],
+        [
+            1, 5, 4, 1, 5, 5, 6, 3, 4, 6, 4, 3,
+            3, 5, 2, 4, 4, 4, 4, 2, 7, 5, 2, 7,
+        ],
+    ]
+    names = ("dist", "next_hop", "next_eid", "loads")
+    wrong = [name for name, a, b in zip(names, built, expected) if a != b]
+    if wrong:
+        raise AssertionError(f"table builder warmup: wrong {', '.join(wrong)}")
 
 
 def _find_cc() -> str | None:
@@ -197,15 +252,37 @@ def _try_cext():
         )
         return (int(out[0]), int(out[1]), int(out[2]), int(out[3]), int(out[4]))
 
+    build = lib.dense_tables
+    build.restype = ctypes.c_int64
+    build.argtypes = [p, p, s] + [p] * 8
+
+    def tables(csr: CSRAdjacency):
+        n = csr.num_nodes
+        indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
+        dist = np.empty((n, n), dtype=np.int32)
+        next_hop = np.empty((n, n), dtype=np.int32)
+        next_eid = np.empty((n, n), dtype=np.int32)
+        loads = np.zeros(csr.num_directed_edges, dtype=np.int64)
+        scratch = np.empty((4, n), dtype=np.int64)
+        status = build(
+            indptr.ctypes.data, indices.ctypes.data, n,
+            dist.ctypes.data, next_hop.ctypes.data, next_eid.ctypes.data,
+            loads.ctypes.data, *(row.ctypes.data for row in scratch),
+        )
+        if status != 0:
+            raise RuntimeError("machine graph is disconnected")
+        return dist, next_hop, next_eid, loads
+
     try:
-        _warmup(runner)
+        _warmup(runner, tables)
     except Exception as exc:  # pragma: no cover - would mean a miscompile
         _reasons["cext"] = f"C kernel warmup failed: {exc}"
         return None
-    return ("cext", runner)
+    return Provider("cext", runner, tables)
 
 
-def get_provider() -> tuple[str, object] | None:
+def get_provider() -> Provider | None:
     """The C kernel provider, or ``None`` when it cannot be built or
     ``REPRO_COMPILED=off`` hides it.  Memoized per mode; probing is
     side-effect-free beyond the on-disk shared-object cache."""
@@ -225,7 +302,7 @@ def _unavailable_reason() -> str:
     return _reasons.get("cext", "no compiled provider available")
 
 
-def require_provider() -> tuple[str, object]:
+def require_provider() -> Provider:
     """Like :func:`get_provider` but raises
     :class:`EngineUnavailableError` (with the probe's reason) when no
     provider works."""
@@ -248,7 +325,7 @@ def capability() -> dict:
     provider = get_provider()
     return {
         "available": provider is not None,
-        "provider": provider[0] if provider else None,
+        "provider": provider.name if provider else None,
         "mode": _mode(),
         "cc": _find_cc(),
         "reason": None if provider else _unavailable_reason(),
@@ -300,7 +377,7 @@ def route_compiled(
     live only in the Python engines; the equivalence suites pin this
     kernel to them instead.
     """
-    runner = require_provider()[1]
+    runner = require_provider().route
 
     npkts = len(legs)
     csr = machine.csr_adjacency()

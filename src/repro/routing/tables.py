@@ -1,18 +1,26 @@
 """All-pairs next-hop routing tables: lazy per destination, or dense.
 
-Two build paths produce bit-identical tables:
+Three build paths produce bit-identical tables:
 
 * the original lazy path -- one Python BFS per destination, cached in a
   dict, cheap when a batch touches few distinct destinations;
-* :meth:`NextHopTables.ensure_dense` -- all destinations at once: the
-  distance matrix comes from a batched C BFS (``scipy.sparse.csgraph``)
-  over the machine's CSR adjacency, and the next-hop choice is resolved
-  for every (node, destination) pair with vectorized NumPy over the
-  directed-edge arrays.  The dense tables also record the *directed edge
-  id* of each next hop, which is what the vectorized routing engine
-  consumes.
+* :meth:`NextHopTables.ensure_dense` -- all destinations at once.  When
+  the compiled provider works (:mod:`repro.routing.compiled`), one C
+  pass runs a BFS per destination over the machine's CSR adjacency and
+  fills the tables.  Otherwise (no C compiler, or
+  ``REPRO_COMPILED=off``) the NumPy build does: the distance matrix
+  comes from ``scipy.sparse.csgraph``, and the next-hop choice is
+  resolved for every (node, destination) pair with vectorized NumPy
+  over the directed-edge arrays.  The NumPy build is also the spec the
+  C pass is tested against.  The dense tables also record the *directed
+  edge id* of each next hop, which is what the routing engines consume.
 
-Tie-breaking is identical in both paths: among the neighbours one step
+:meth:`NextHopTables.complete_loads` gives each directed link's load
+when every ordered pair sends one packet along the next-hop trees, the
+input of the β bracket's routing congestion.  The C pass computes it
+with the tables; the NumPy path sweeps the dense tables level by level.
+
+Tie-breaking is identical in every path: among the neighbours one step
 closer to the destination (in ascending node order), a deterministic
 pseudo-random hash keyed by ``(node, dest)`` picks one.  The hash spreads
 load across parallel shortest paths; the lowest-index choice would
@@ -31,15 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
 
-from repro.topologies.base import Machine
+from repro.topologies.base import CSRAdjacency, Machine
 
 __all__ = ["DenseTables", "NextHopTables"]
 
-# Knuth-style multiplicative hash constants; must match between the lazy
-# and dense build paths (determinism contract, see docs/PERFORMANCE.md).
+# Knuth-style multiplicative hash constants; must match in every build
+# path, ``dense_tables`` in _kernel.c included (determinism contract, see
+# docs/PERFORMANCE.md).
 _HASH_A = 2654435761
 _HASH_B = 1099087573
 _HASH_MASK = 0x7FFFFFFF
@@ -63,6 +70,7 @@ class NextHopTables:
         self._next: dict[int, np.ndarray] = {}
         self._dist: dict[int, np.ndarray] = {}
         self._dense: DenseTables | None = None
+        self._loads: np.ndarray | None = None
 
     @classmethod
     def shared(cls, machine: Machine) -> "NextHopTables":
@@ -114,77 +122,53 @@ class NextHopTables:
         """Build (once) and return the all-destinations dense tables."""
         if self._dense is not None:
             return self._dense
-        n = self.machine.num_nodes
-        csr = self._csr
-        if n == 1:
+        if self.machine.num_nodes == 1:
             self._dense = DenseTables(
                 dist=np.zeros((1, 1), dtype=np.int32),
                 next_hop=np.zeros((1, 1), dtype=np.int32),
                 next_eid=np.full((1, 1), -1, dtype=np.int32),
             )
             return self._dense
+        # compiled.py imports this module, so resolve the provider here.
+        from repro.routing.compiled import get_provider
 
-        graph = csr_array(
-            (
-                np.ones(csr.num_directed_edges, dtype=np.int8),
-                csr.indices,
-                csr.indptr,
-            ),
-            shape=(n, n),
-        )
-        raw = shortest_path(graph, method="auto", directed=True, unweighted=True)
-        if not np.all(np.isfinite(raw)):
-            raise RuntimeError("machine graph is disconnected")
-        dist = raw.astype(np.int32)
-        del raw
-
-        indptr = csr.indptr.astype(np.int64)
-        indices = csr.indices
-        edge_src = csr.edge_src
-        num_edges = csr.num_directed_edges
-        nxt = np.empty((n, n), dtype=np.int32)
-        eid = np.empty((n, n), dtype=np.int32)
-
-        # h[v, d]: the deterministic tie-break hash (int64 arithmetic is
-        # exact here: v, d < 2^31 so the products stay below 2^62).
-        h_rows = np.arange(n, dtype=np.int64) * _HASH_A
-        h_cols = np.arange(n, dtype=np.int64) * _HASH_B
-        block_end = indptr[1:] - 1  # last CSR slot of each row (deg >= 1)
-
-        # Chunk destinations so the (num_edges x chunk) working set stays
-        # bounded (~64 MB) on large machines.  The cumulative-count dtype
-        # only needs to hold num_edges, so narrow it when possible.
-        chunk = max(1, int(64_000_000 // max(1, num_edges * 8)))
-        ctype = np.int16 if num_edges < 32_000 else np.int32
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            dist_c = dist[:, lo:hi]
-            # cand[e, d]: directed edge e points one step closer to d.
-            cand = dist_c[indices] == dist_c[edge_src] - 1
-            cum = np.cumsum(cand, axis=0, dtype=ctype)
-            offset = np.zeros((n, hi - lo), dtype=ctype)
-            offset[1:] = cum[block_end[:-1]]
-            counts = (cum[block_end] - offset).astype(np.int32)
-            h = ((h_rows[:, None] + h_cols[None, lo:hi]) & _HASH_MASK).astype(
-                np.int32
-            )
-            # 1-based candidate rank; the selected slot is the one whose
-            # running count hits offset + rank.
-            rank = (h % np.maximum(counts, 1) + 1).astype(ctype)
-            target = offset + rank
-            sel = cand & (cum == target[edge_src])
-            e_idx, d_idx = np.nonzero(sel)
-            nxt[edge_src[e_idx], lo + d_idx] = indices[e_idx]
-            eid[edge_src[e_idx], lo + d_idx] = e_idx.astype(np.int32)
-
-        diag = np.arange(n)
-        nxt[diag, diag] = diag
-        eid[diag, diag] = -1
-        self._dense = DenseTables(dist=dist, next_hop=nxt, next_eid=eid)
+        provider = get_provider()
+        if provider is not None:
+            dist, nxt, eid, self._loads = provider.tables(self._csr)
+            self._dense = DenseTables(dist=dist, next_hop=nxt, next_eid=eid)
+        else:
+            self._dense = _numpy_dense(self._csr)
         # The dict caches are now redundant; free them.
         self._next.clear()
         self._dist.clear()
         return self._dense
+
+    def complete_loads(self) -> np.ndarray:
+        """Each directed edge's load (int64, by edge id) when every
+        ordered pair ``(s, d)`` sends one packet along the next-hop tree.
+
+        The C table pass computes these with the tables.  After the
+        NumPy build they come from a sweep of the dense tables: a node
+        at BFS level L hands its accumulated subtree size to its parent
+        at level L-1, so sweeping levels deepest-first accumulates every
+        destination tree at once (``sizes[v, d]`` is the subtree size of
+        ``v`` in the destination-``d`` tree), and each hand-off loads
+        the edge ``v`` forwards on.
+        """
+        dense = self.ensure_dense()
+        if self._loads is None:
+            n = self.machine.num_nodes
+            dist, nxt = dense.dist, dense.next_hop
+            loads = np.zeros(self._csr.num_directed_edges, dtype=np.int64)
+            sizes = np.ones((n, n), dtype=np.int64)
+            for level in range(int(dist.max()), 0, -1):
+                v_idx, d_idx = np.nonzero(dist == level)
+                parents = nxt[v_idx, d_idx].astype(np.int64)
+                contrib = sizes[v_idx, d_idx]
+                np.add.at(sizes, (parents, d_idx), contrib)
+                np.add.at(loads, dense.next_eid[v_idx, d_idx], contrib)
+            self._loads = loads
+        return self._loads
 
     @property
     def has_dense(self) -> bool:
@@ -260,3 +244,70 @@ class NextHopTables:
         if self._dense is not None:
             return self.machine.num_nodes
         return len(self._next)
+
+
+def _numpy_dense(csr: CSRAdjacency) -> DenseTables:
+    """The NumPy build of the dense tables (n >= 2): scipy's batched BFS
+    for distances, then the tie-break vectorized over directed edges."""
+    # Imported here: the compiled path never needs scipy.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import shortest_path
+
+    n = csr.num_nodes
+    graph = csr_array(
+        (
+            np.ones(csr.num_directed_edges, dtype=np.int8),
+            csr.indices,
+            csr.indptr,
+        ),
+        shape=(n, n),
+    )
+    raw = shortest_path(graph, method="auto", directed=True, unweighted=True)
+    if not np.all(np.isfinite(raw)):
+        raise RuntimeError("machine graph is disconnected")
+    dist = raw.astype(np.int32)
+    del raw
+
+    indptr = csr.indptr.astype(np.int64)
+    indices = csr.indices
+    edge_src = csr.edge_src
+    num_edges = csr.num_directed_edges
+    nxt = np.empty((n, n), dtype=np.int32)
+    eid = np.empty((n, n), dtype=np.int32)
+
+    # h[v, d]: the deterministic tie-break hash (int64 arithmetic is
+    # exact here: v, d < 2^31 so the products stay below 2^62).
+    h_rows = np.arange(n, dtype=np.int64) * _HASH_A
+    h_cols = np.arange(n, dtype=np.int64) * _HASH_B
+    block_end = indptr[1:] - 1  # last CSR slot of each row (deg >= 1)
+
+    # Chunk destinations so the (num_edges x chunk) working set stays
+    # bounded (~64 MB) on large machines.  The cumulative-count dtype
+    # only needs to hold num_edges, so narrow it when possible.
+    chunk = max(1, int(64_000_000 // max(1, num_edges * 8)))
+    ctype = np.int16 if num_edges < 32_000 else np.int32
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        dist_c = dist[:, lo:hi]
+        # cand[e, d]: directed edge e points one step closer to d.
+        cand = dist_c[indices] == dist_c[edge_src] - 1
+        cum = np.cumsum(cand, axis=0, dtype=ctype)
+        offset = np.zeros((n, hi - lo), dtype=ctype)
+        offset[1:] = cum[block_end[:-1]]
+        counts = (cum[block_end] - offset).astype(np.int32)
+        h = ((h_rows[:, None] + h_cols[None, lo:hi]) & _HASH_MASK).astype(
+            np.int32
+        )
+        # 1-based candidate rank; the selected slot is the one whose
+        # running count hits offset + rank.
+        rank = (h % np.maximum(counts, 1) + 1).astype(ctype)
+        target = offset + rank
+        sel = cand & (cum == target[edge_src])
+        e_idx, d_idx = np.nonzero(sel)
+        nxt[edge_src[e_idx], lo + d_idx] = indices[e_idx]
+        eid[edge_src[e_idx], lo + d_idx] = e_idx.astype(np.int32)
+
+    diag = np.arange(n)
+    nxt[diag, diag] = diag
+    eid[diag, diag] = -1
+    return DenseTables(dist=dist, next_hop=nxt, next_eid=eid)

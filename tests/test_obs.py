@@ -330,6 +330,26 @@ class TestDeterministicSpanTree:
         assert f"route.{ran}" in names
         assert "traffic.build" in names
 
+    def test_beta_bracket_spans_its_two_halves(self):
+        """The bracket is one span with the routing congestion (which
+        covers any table build it triggers) and the cut bound as its
+        only children."""
+        from repro.bandwidth import beta_bracket
+
+        machine = family_spec("mesh_2").build_with_size(16)
+        sink = MemorySink()
+        with obs.tracing(sink=sink):
+            beta_bracket(machine)
+        report = build_report(sink.events)
+        shapes = [tree_shape(r) for r in (n.as_dict() for n in report.roots)]
+        assert shapes == [
+            (
+                "bandwidth.bracket",
+                1,
+                (("bandwidth.congestion", 1, ()), ("bandwidth.cuts", 1, ())),
+            )
+        ]
+
     def test_saturation_sweep_spans_its_traffic_build(self):
         """The sweep has a root span, and building its default traffic
         is a child of it rather than untraced self time."""

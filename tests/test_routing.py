@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bandwidth import routing_congestion
 from repro.routing import (
     NextHopTables,
     RoutingSimulator,
@@ -14,14 +15,20 @@ from repro.routing import (
     shortest_path_route,
     valiant_route,
 )
+from repro.routing import compiled as compiled_backend
 from repro.topologies import (
+    all_family_keys,
+    build_butterfly,
     build_de_bruijn,
+    build_global_bus,
     build_hypercube,
     build_linear_array,
     build_mesh,
     build_ring,
     build_tree,
     build_weak_hypercube,
+    build_xtree,
+    family_spec,
 )
 from repro.traffic import permutation_traffic, symmetric_traffic
 
@@ -81,7 +88,16 @@ class TestNextHopTables:
 
     def test_dense_matches_lazy(self):
         """The batched dense build is bit-identical to per-dest BFS."""
-        for m in (build_hypercube(4), build_de_bruijn(5), build_tree(4)):
+        for m in (
+            build_linear_array(2),
+            build_global_bus(62),  # two hubs of degree 32
+            build_xtree(5),
+            build_mesh(8, 2),
+            build_butterfly(3),
+            build_hypercube(4),
+            build_de_bruijn(5),
+            build_tree(4),
+        ):
             lazy = NextHopTables(m)
             dense_t = NextHopTables(m)
             dense = dense_t.ensure_dense()
@@ -105,6 +121,59 @@ class TestNextHopTables:
                 e = dense.next_eid[v, d]
                 assert csr.edge_src[e] == v
                 assert csr.indices[e] == dense.next_hop[v, d]
+
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("family", all_family_keys())
+    def test_compiled_pass_matches_numpy_build(self, family, size, monkeypatch):
+        """The C table pass equals the NumPy build it stands in for: the
+        three tables, the complete-traffic loads and the congestion
+        they reduce to.  Each side builds its own machine, so neither
+        reads the other's shared tables."""
+        if not compiled_backend.capability()["available"]:
+            pytest.skip("no compiled provider to compare")
+
+        def build():
+            compiled_backend._reset_provider_cache()
+            machine = family_spec(family).build_with_size(size)
+            tables = NextHopTables.shared(machine)
+            return (
+                tables.ensure_dense(),
+                tables.complete_loads(),
+                routing_congestion(machine),
+            )
+
+        try:
+            dense_c, loads_c, congestion_c = build()
+            monkeypatch.setenv("REPRO_COMPILED", "off")
+            dense_np, loads_np, congestion_np = build()
+        finally:
+            compiled_backend._reset_provider_cache()
+        for name in ("dist", "next_hop", "next_eid"):
+            a, b = getattr(dense_c, name), getattr(dense_np, name)
+            assert a.dtype == b.dtype == np.int32, name
+            assert np.array_equal(a, b), name
+        assert loads_c.dtype == loads_np.dtype == np.int64
+        assert np.array_equal(loads_c, loads_np)
+        assert congestion_c == congestion_np
+
+    def test_disconnected_adjacency_raises_on_both_builds(self):
+        """Machines are connected by construction; the dense builds
+        still refuse two disjoint edges with the same error."""
+        from repro.routing.tables import _numpy_dense
+        from repro.topologies.base import CSRAdjacency
+
+        csr = CSRAdjacency(
+            np.array([0, 1, 2, 3, 4], dtype=np.int32),
+            np.array([1, 0, 3, 2], dtype=np.int32),
+            np.array([0, 1, 2, 3], dtype=np.int32),
+        )
+        builds = [_numpy_dense]
+        provider = compiled_backend.get_provider()
+        if provider is not None:
+            builds.append(provider.tables)
+        for build in builds:
+            with pytest.raises(RuntimeError, match="machine graph is disconnected"):
+                build(csr)
 
     def test_shared_tables_cached_per_machine(self):
         m = build_ring(8)

@@ -22,6 +22,7 @@ from repro.emulation import (
     schedule_circuit,
 )
 from repro.routing import measure_bandwidth
+from repro.routing.compiled import capability
 from repro.topologies import build_linear_array, build_mesh, build_ring
 from repro.traffic import local_traffic
 
@@ -225,7 +226,9 @@ class TestCli:
         call, so the commands that print registry metadata or symbolic
         tables load none of numpy, scipy or networkx, and the ones that
         compute never load ``scipy.optimize`` (only ``lp_bound`` needs
-        it).  Each check is a fresh interpreter.
+        it).  With the compiled provider the dense tables need no scipy,
+        so ``saturation`` loads none of it.  Each check is a fresh
+        interpreter.
         """
         numeric = {"numpy", "scipy", "networkx"}
         light = [
@@ -246,10 +249,17 @@ class TestCli:
         loaded = {
             args: sorted(_imported(*args) & numeric) for args in light
         }
+        imported = {args: _imported("-m", "repro", *args) for args in compute}
         loaded.update(
-            (args, sorted(_imported("-m", "repro", *args) & {"scipy.optimize"}))
-            for args in compute
+            (args, sorted(mods & {"scipy.optimize"}))
+            for args, mods in imported.items()
         )
+        if capability()["available"]:
+            saturation = compute[1]
+            loaded[saturation] = sorted(
+                mod for mod in imported[saturation]
+                if mod.partition(".")[0] == "scipy"
+            )
         assert {args: mods for args, mods in loaded.items() if mods} == {}
         http = {"http.server", "repro.service.app"}
         assert _imported("-c", "import repro.cli") & http == set()
