@@ -364,8 +364,8 @@ def _kernel_layout(machine: Machine, tables: NextHopTables):
 def route_compiled(
     machine: Machine,
     tables: NextHopTables,
-    legs: list[list[int]],
-    release_times: list[int],
+    legs: np.ndarray | list[list[int]],
+    release_times: np.ndarray,
     max_ticks: int,
     policy: str,
 ) -> tuple[int, np.ndarray, dict[tuple[int, int], int], int, int]:

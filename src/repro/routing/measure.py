@@ -17,7 +17,10 @@ from repro.experiments import Replication
 from repro.obs import trace as obs
 from repro.routing.simulator import DEFAULT_ENGINE, RoutingResult, RoutingSimulator
 from repro.routing.dimension_order import dimension_order_route
-from repro.routing.strategies import shortest_path_route, valiant_route
+from repro.routing.strategies import (
+    shortest_path_itineraries,
+    valiant_itineraries,
+)
 from repro.topologies.base import Machine
 from repro.topologies.registry import family_spec
 from repro.traffic.distribution import TrafficDistribution, symmetric_traffic
@@ -147,13 +150,17 @@ def resolve_traffic(
     return wl.traffic, wl
 
 
-def _plan(machine: Machine, messages: np.ndarray, strategy: str, rng) -> list[list[int]]:
-    """Itineraries for one sampled ``(m, 2)`` message array."""
+def _plan(
+    machine: Machine, messages: np.ndarray, strategy: str, rng
+) -> np.ndarray | list[list[int]]:
+    """Itineraries for one sampled ``(m, 2)`` message array: an int64
+    array for shortest-path and Valiant routing, lists for the ragged
+    dimension-order paths."""
     if strategy == "shortest":
-        return shortest_path_route(machine, messages)
+        return shortest_path_itineraries(machine, messages)
     if strategy == "dimension_order":
         return dimension_order_route(machine, messages.tolist())
-    return valiant_route(machine, messages, seed=rng)
+    return valiant_itineraries(machine, messages, seed=rng)
 
 
 def measure_bandwidth_many(
@@ -172,10 +179,13 @@ def measure_bandwidth_many(
     Returns one :class:`BandwidthMeasurement` per seed, each
     **bit-identical** to ``measure_bandwidth(machine, seed=s, ...)`` on
     that seed alone.  The shared work is paid once instead of per seed:
-    the traffic distribution is built once, the dense next-hop tables
-    are reused, and on the fast engine all runs share one vectorized
-    tick loop (:meth:`RoutingSimulator.route_batch`), so an 8-seed
-    replication costs far less than 8 sequential measurements.
+    the traffic distribution and its sampler are built once, the dense
+    next-hop tables are reused, and on the fast engine all runs share
+    one vectorized tick loop (:meth:`RoutingSimulator.route_batch`), so
+    an 8-seed replication costs far less than 8 sequential
+    measurements.  Each seed's messages and itineraries stay int64
+    arrays from the sampler to the route kernel (shortest-path and
+    Valiant routing; dimension-order paths are ragged lists).
     """
     with obs.span(
         "measure_bandwidth.many",

@@ -100,7 +100,7 @@ def saturation_sweep(
         # Draw every rate's injections and destinations first (the rng
         # consumption order matches the old one-rate-at-a-time loop, so
         # sampled workloads are unchanged), then route them as one batch.
-        runs: list[tuple[np.ndarray, list[int]] | None] = []
+        runs: list[tuple[np.ndarray, np.ndarray] | None] = []
         for r in rates:
             if not 0 < r <= 1:
                 raise ValueError(f"rates must be in (0, 1], got {r}")
@@ -118,7 +118,7 @@ def saturation_sweep(
             # injecting node so the spatial process is honest; a sampled
             # self-destination bumps to the next node, as before.
             dst = np.where(dst == nodes, (dst + 1) % n, dst)
-            runs.append((np.column_stack([nodes, dst]), ticks.tolist()))
+            runs.append((np.column_stack([nodes, dst]), ticks))
         live = [run for run in runs if run is not None]
         results = iter(
             sim.route_batch(
@@ -141,7 +141,7 @@ def saturation_sweep(
                 continue
             _, release = run
             result = next(results)
-            latencies = result.delivery_times - np.asarray(release)
+            latencies = result.delivery_times - release
             points.append(
                 SaturationPoint(
                     offered_rate=float(r),

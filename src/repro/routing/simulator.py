@@ -45,6 +45,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -145,12 +146,15 @@ class RoutingSimulator:
         since the clock starts moving packets at tick 1).  This supports
         open-loop injection for throughput/latency sweeps.  Returns when
         every packet has been delivered; ``delivery_times`` are absolute
-        clock values.
+        clock values.  Both inputs may also be int64 arrays (an ``(m,
+        w)`` itinerary array, a length-``m`` release vector): the fast
+        and compiled engines route them without converting, and the
+        results equal those of the same values given as lists.
         """
         npkts = len(itineraries)
         if npkts == 0:
             return RoutingResult(0, 0, np.zeros(0, dtype=np.int64), {})
-        legs, release_times, max_ticks = self._prepare(
+        legs, release, max_ticks = self._prepare(
             itineraries, release_times, max_ticks
         )
 
@@ -160,14 +164,17 @@ class RoutingSimulator:
         ) as sp:
             skipped = None
             if resolved == "reference":
-                result = self._route_reference(legs, release_times, max_ticks)
+                # The spec runs on plain Python lists.
+                if isinstance(legs, np.ndarray):
+                    legs = legs.tolist()
+                result = self._route_reference(legs, release.tolist(), max_ticks)
             else:
                 if resolved == "fast":
                     [(total_time, delivered, edge_traffic, max_queue)] = (
                         route_many(
                             self.machine,
                             self.tables,
-                            [(legs, release_times, max_ticks)],
+                            [(legs, release, max_ticks)],
                             self.policy,
                             validate=self.validate,
                         )
@@ -178,7 +185,7 @@ class RoutingSimulator:
                             self.machine,
                             self.tables,
                             legs,
-                            release_times,
+                            release,
                             max_ticks,
                             self.policy,
                         )
@@ -220,11 +227,13 @@ class RoutingSimulator:
         """Route K independent runs; each result is bit-identical to
         :meth:`route` on that run alone.
 
-        ``itineraries_list`` holds one itinerary batch per run;
-        ``release_times_list`` (optional) one release vector per run
-        (``None`` entries mean all-zero releases); ``max_ticks`` is a
-        single budget shared by every run, a per-run list, or ``None``
-        for the per-run hop-derived default.  On the fast engine (and on
+        ``itineraries_list`` holds one itinerary batch per run, each a
+        list of lists or an int64 ``(m, w)`` array as :meth:`route`
+        takes it; ``release_times_list`` (optional) one release vector
+        per run, a list or an int64 array (``None`` entries mean
+        all-zero releases); ``max_ticks`` is a single budget shared by
+        every run, a per-run list, or ``None`` for the per-run
+        hop-derived default.  On the fast engine (and on
         ``auto`` when it resolves to fast) all runs share one
         vectorized tick loop (:func:`route_many`) keyed by per-run
         virtual edge ids, so the per-tick dispatch overhead amortizes
@@ -268,7 +277,7 @@ class RoutingSimulator:
             else:
                 # Prepare every run exactly as route() would, then hand
                 # the non-empty ones to the shared kernel.
-                prepared: list[tuple[list, list, int] | None] = []
+                prepared: list[tuple | None] = []
                 for its, rel, mt in zip(
                     itineraries_list, release_times_list, budgets
                 ):
@@ -311,25 +320,31 @@ class RoutingSimulator:
 
     def _prepare(
         self,
-        itineraries: list[list[int]],
-        release_times: list[int] | None,
+        itineraries: list[list[int]] | np.ndarray,
+        release_times: list[int] | np.ndarray | None,
         max_ticks: int | None,
-    ) -> tuple[list[list[int]] | np.ndarray, list[int], int]:
+    ) -> tuple[np.ndarray | list[list[int]], np.ndarray, int]:
         """Validate one run's inputs and collapse its itineraries.
 
         This is the shared front half of :meth:`route` and
         :meth:`route_batch`: same checks, same leg collapsing, same
         hop-derived default tick budget, so the two paths cannot drift.
 
-        Rectangular batches (every itinerary the same width, the common
-        src/dest and Valiant shapes) collapse as one array instead of a
-        per-itinerary Python loop: a width-2 itinerary is
-        collapse-invariant (``[s, s]`` collapses to ``[s]`` and pads
-        straight back), and a wider one passes through whenever no
-        consecutive waypoints repeat.  The engines' flatten fast path
-        then consumes the array without another conversion.
+        Itineraries are a list of lists or an int64 ``(m, w)`` array;
+        release times a list, an int64 array or ``None``.  A rectangular
+        batch (every itinerary the same width, the common src/dest and
+        Valiant shapes) is kept as one int64 array, which an array input
+        already is: a width-2 itinerary is collapse-invariant (``[s,
+        s]`` collapses to ``[s]`` and pads straight back), and a wider
+        one passes through whenever no consecutive waypoints repeat.
+        Only a ragged batch is collapsed itinerary by itinerary into
+        lists.  Every waypoint is checked against ``[0, n)`` with one
+        array test before the tables or an engine index with it, and the
+        release times come back as an int64 array, so the fast and
+        compiled engines consume both without a per-packet conversion.
         """
         npkts = len(itineraries)
+        n = self.machine.num_nodes
         legs = None
         try:
             arr = np.asarray(itineraries, dtype=np.int64)
@@ -337,32 +352,17 @@ class RoutingSimulator:
             arr = None  # ragged or non-numeric: take the generic path
         if arr is not None and arr.ndim == 2 and arr.shape[1] >= 2:
             if arr.shape[1] == 2 or bool((arr[:, 1:] != arr[:, :-1]).all()):
-                legs = arr
+                legs = nodes = arr
         if legs is None:
-            for it in itineraries:
-                if len(it) < 2:
-                    raise ValueError(
-                        f"itinerary needs src and dest, got {it}"
-                    )
-
-        if release_times is None:
-            release_times = [0] * npkts
-        if len(release_times) != npkts:
-            raise ValueError(
-                f"{len(release_times)} release times for {npkts} packets"
-            )
-        release_times = [int(t) for t in release_times]
-        for pid, t_rel in enumerate(release_times):
-            if t_rel < 0:
-                raise ValueError(f"negative release time for packet {pid}")
-
-        # Packet state: current waypoint index and itinerary.  Consecutive
-        # duplicate waypoints are collapsed so waypoint advancement in
-        # enqueue() is single-step (a repeated waypoint could otherwise
-        # slip past the delivery check).
-        if legs is None:
+            # Consecutive duplicate waypoints are collapsed so waypoint
+            # advancement in enqueue() is single-step (a repeated
+            # waypoint could otherwise slip past the delivery check).
+            if isinstance(itineraries, np.ndarray):
+                itineraries = itineraries.tolist()
             legs = []
             for it in itineraries:
+                if len(it) < 2:
+                    raise ValueError(f"itinerary needs src and dest, got {it}")
                 collapsed = [it[0]]
                 for x in it[1:]:
                     if x != collapsed[-1]:
@@ -370,6 +370,30 @@ class RoutingSimulator:
                 if len(collapsed) == 1:
                     collapsed.append(collapsed[0])
                 legs.append(collapsed)
+            nodes = np.fromiter(chain.from_iterable(legs), dtype=np.int64)
+        bad = (nodes < 0) | (nodes >= n)
+        if bad.any():
+            node = int(nodes.ravel()[bad.argmax()])
+            raise ValueError(f"itinerary node {node} out of range for n={n}")
+
+        if release_times is None:
+            release = np.zeros(npkts, dtype=np.int64)
+        else:
+            if len(release_times) != npkts:
+                raise ValueError(
+                    f"{len(release_times)} release times for {npkts} packets"
+                )
+            release = np.asarray(release_times, dtype=np.int64)
+            if release.ndim != 1:
+                raise ValueError(
+                    f"release times must be one number per packet, "
+                    f"got shape {release.shape}"
+                )
+            negative = release < 0
+            if negative.any():
+                raise ValueError(
+                    f"negative release time for packet {int(negative.argmax())}"
+                )
 
         if self.engine != "reference":
             self.tables.ensure_dense()  # itinerary_hops must not fall back
@@ -379,9 +403,9 @@ class RoutingSimulator:
             # bounds the finish time; runaway runs now fail fast instead
             # of spinning for the old quadratic 4*npkts*n default.
             max_ticks = (
-                self.tables.itinerary_hops(legs) + max(release_times) + 64
+                self.tables.itinerary_hops(legs) + int(release.max()) + 64
             )
-        return legs, release_times, max_ticks
+        return legs, release, max_ticks
 
     # -- the reference engine (executable specification) ----------------------
 

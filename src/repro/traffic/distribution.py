@@ -134,6 +134,13 @@ class TrafficDistribution:
         state yields the same messages as the dict-era sampler while
         callers sampling many batches (seed replication, offered-load
         sweeps) skip the per-call O(support) setup.
+
+        The uniforms are searched in ascending order and the picks
+        scattered back to draw order.  numpy's binary search keeps the
+        previous key's lower bound when keys ascend, so the probes walk
+        the CDF forward instead of missing cache on every draw; equal
+        uniforms search to the same index, so every pick is the one the
+        unsorted search returns.
         """
         total = self.weights.sum()
         if not np.isfinite(total):
@@ -146,8 +153,10 @@ class TrafficDistribution:
             m: int, seed: int | np.random.Generator | None = None
         ) -> np.ndarray:
             check_positive_int(m, "m")
-            rng = rng_from_seed(seed)
-            picked = codes[cdf.searchsorted(rng.random(m), side="right")]
+            u = rng_from_seed(seed).random(m)
+            order = u.argsort()
+            picked = np.empty(m, dtype=np.int64)
+            picked[order] = codes[cdf.searchsorted(u[order], side="right")]
             return np.stack(np.divmod(picked, n), axis=1)
 
         return draw

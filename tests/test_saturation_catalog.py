@@ -22,44 +22,63 @@ from repro.topologies import build_de_bruijn, build_linear_array, build_mesh, bu
 COMPILED_AVAILABLE = compiled_backend.capability()["available"]
 
 
+def _int64(values):
+    return np.asarray(values, dtype=np.int64)
+
+
+#: Release times reach the simulator as lists or as int64 arrays (the
+#: form saturation sweeps pass); both must behave the same.
+RELEASE_FORMS = (list, _int64)
+
+
 class TestReleaseTimes:
     def test_staggered_injection_delays_delivery(self):
         m = build_linear_array(6)
         sim = RoutingSimulator(m)
-        res = sim.route([[0, 5]], release_times=[10])
-        # Released at tick 10: the first hop completes at tick 10, so
-        # delivery lands at 10 + 5 - 1.
-        assert res.total_time == 14
+        for form in RELEASE_FORMS:
+            res = sim.route([[0, 5]], release_times=form([10]))
+            # Released at tick 10: the first hop completes at tick 10, so
+            # delivery lands at 10 + 5 - 1.
+            assert res.total_time == 14
 
     def test_mixed_release(self):
         m = build_ring(8)
         sim = RoutingSimulator(m)
-        res = sim.route([[0, 2], [0, 2]], release_times=[0, 6])
-        times = sorted(res.delivery_times.tolist())
-        assert times[0] == 2
-        assert times[1] == 7  # released at 6, 2 hops, first at tick 6
+        for form in RELEASE_FORMS:
+            res = sim.route([[0, 2], [0, 2]], release_times=form([0, 6]))
+            times = sorted(res.delivery_times.tolist())
+            assert times[0] == 2
+            assert times[1] == 7  # released at 6, 2 hops, first at tick 6
 
     def test_self_message_released_late(self):
         m = build_ring(8)
-        res = RoutingSimulator(m).route([[3, 3]], release_times=[7])
-        assert res.delivery_times[0] == 7
+        for form in RELEASE_FORMS:
+            res = RoutingSimulator(m).route([[3, 3]], release_times=form([7]))
+            assert res.delivery_times[0] == 7
 
     def test_wrong_length_rejected(self):
         m = build_ring(8)
-        with pytest.raises(ValueError):
-            RoutingSimulator(m).route([[0, 1]], release_times=[0, 1])
+        for form in RELEASE_FORMS:
+            with pytest.raises(ValueError, match="^2 release times for 1 packets$"):
+                RoutingSimulator(m).route([[0, 1]], release_times=form([0, 1]))
 
     def test_negative_rejected(self):
         m = build_ring(8)
-        with pytest.raises(ValueError):
-            RoutingSimulator(m).route([[0, 1]], release_times=[-1])
+        for form in RELEASE_FORMS:
+            with pytest.raises(
+                ValueError, match="^negative release time for packet 1$"
+            ):
+                RoutingSimulator(m).route(
+                    [[0, 1], [2, 3]], release_times=form([0, -1])
+                )
 
     def test_same_result_as_zero_release(self):
         m = build_mesh(4, 2)
         msgs = [[0, 15], [3, 12], [5, 10]]
         a = RoutingSimulator(m).route(msgs)
-        b = RoutingSimulator(m).route(msgs, release_times=[0, 0, 0])
-        assert a.total_time == b.total_time
+        for form in RELEASE_FORMS:
+            b = RoutingSimulator(m).route(msgs, release_times=form([0, 0, 0]))
+            assert a.total_time == b.total_time
 
 
 class TestSaturation:
