@@ -5,10 +5,9 @@ Times an 8-seed replicated bandwidth estimate end-to-end both ways:
 * **sequential** -- ``replicate()`` calling ``measure_bandwidth`` once
   per seed on the fast engine (each call rebuilds the traffic
   distribution and routes its seed as a one-run batch);
-* **batched** -- ``replicate(..., batch=True)`` over
-  ``measure_bandwidth_many``, which builds the traffic once, reuses the
-  shared tables, and routes all seeds through one ``route_many`` tick
-  loop.
+* **batched** -- ``measure_bandwidth_many`` over the same seeds, which
+  builds the traffic once, reuses the shared tables, and routes all
+  seeds through one ``route_many`` tick loop.
 
 The two paths are asserted bit-identical per seed before any timing
 counts, the headline cell must reach the >= 5x acceptance bar, and the
@@ -63,27 +62,23 @@ def _time_pair(family: str, n: int, num_messages: int):
             machine, num_messages=num_messages, seed=seed
         ).rate
 
-    def batched(seeds: list[int]) -> list[float]:
+    def batched() -> list[float]:
         return [
             m.rate
             for m in measure_bandwidth_many(
-                machine, seeds, num_messages=num_messages
+                machine, list(range(NUM_SEEDS)), num_messages=num_messages
             )
         ]
 
     # Warm the shared table cache and assert bit-identity once up front.
     warm_seq = replicate(sequential, num_seeds=NUM_SEEDS)
-    warm_bat = replicate(batched, num_seeds=NUM_SEEDS, batch=True)
-    assert warm_seq.values == warm_bat.values, (family, n, num_messages)
+    assert list(warm_seq.values) == batched(), (family, n, num_messages)
 
     t_seq = min(
         _timed(lambda: replicate(sequential, num_seeds=NUM_SEEDS))
         for _ in range(ROUNDS)
     )
-    t_bat = min(
-        _timed(lambda: replicate(batched, num_seeds=NUM_SEEDS, batch=True))
-        for _ in range(ROUNDS)
-    )
+    t_bat = min(_timed(batched) for _ in range(ROUNDS))
     return t_seq, t_bat
 
 

@@ -83,14 +83,15 @@ def _count_hook_calls() -> dict[str, int]:
         measure_bandwidth(machine, num_messages=NUM_MESSAGES, seed=SEED)
     report = build_report(sink.events)
     engine = "compiled" if capability()["available"] else "fast"
-    route_node = report.find("measure_bandwidth", f"route.{engine}")
-    assert route_node is not None, report.render()
-    route_calls = route_node.count
-    # the simulator fires three counters (calls/ticks/packets) per route
+    batch_node = report.find("measure_bandwidth", "route.batch")
+    route_node = report.find("measure_bandwidth", "route.batch", f"route.{engine}")
+    assert batch_node is not None and route_node is not None, report.render()
+    # the simulator fires three counters (calls/ticks/packets) per kernel
+    # call and three (calls/runs/packets) per batch
     return {
         "spans": report.num_spans,
         "events": report.num_events,
-        "counter_adds": 3 * route_calls,
+        "counter_adds": 3 * route_node.count + 3 * batch_node.count,
     }
 
 

@@ -270,8 +270,8 @@ def _cmd_figure1(args) -> int:
 
 def _cmd_bandwidth(args) -> int:
     from repro.bandwidth import beta_bracket, beta_value
-    from repro.experiments import replicate
-    from repro.routing import measure_bandwidth, measure_bandwidth_many
+    from repro.experiments import Replication
+    from repro.routing import measure_bandwidth_many
 
     p = _params(args)
     engine = p["engine"]
@@ -281,22 +281,16 @@ def _cmd_bandwidth(args) -> int:
             p.get("workload"), args.workload_param, machine.num_nodes
         )
         br = beta_bracket(machine)
-        meas = measure_bandwidth(
-            machine, seed=p["seed"], engine=engine, workload=workload
+        # One run per replicate (seeds seed, seed+1, ...); the first is
+        # the measured rate.
+        runs = measure_bandwidth_many(
+            machine,
+            [p["seed"] + i for i in range(p["replicates"])],
+            engine=engine,
+            workload=workload,
         )
-        rep = None
-        if p["replicates"] > 1:
-            rep = replicate(
-                lambda seeds: [
-                    m.rate
-                    for m in measure_bandwidth_many(
-                        machine, seeds, engine=engine, workload=workload
-                    )
-                ],
-                num_seeds=p["replicates"],
-                base_seed=p["seed"],
-                batch=True,
-            )
+    meas = runs[0]
+    rep = Replication(values=tuple(m.rate for m in runs)) if len(runs) > 1 else None
     print(f"machine: {machine!r} [engine={engine}]")
     if workload is not None:
         print(f"workload: {workload!r}")
@@ -676,6 +670,11 @@ def _cmd_loadtest(args) -> int:
             connections=args.connections,
             seed=args.seed,
             timeout=args.timeout,
+        )
+    if not result.answered:
+        raise SystemExit(
+            f"error: no request to {args.host}:{port} was answered "
+            f"in {result.requests} attempts"
         )
     record = result.as_dict()
     if args.json:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-import networkx as nx
-
 from repro.topologies.base import Machine
 from repro.traffic.multigraph import TrafficMultigraph
 
@@ -56,17 +54,6 @@ class Embedding:
     ) -> "Embedding":
         """Embed a traffic multigraph (weights = multiplicities)."""
         return cls(host, traffic.weights, vertex_map, paths)
-
-    @classmethod
-    def from_graph(
-        cls,
-        host: Machine,
-        guest: nx.Graph,
-        vertex_map: Mapping[Hashable, int],
-        paths: Mapping[tuple[Hashable, Hashable], list[int]],
-    ) -> "Embedding":
-        """Embed a simple guest graph (unit multiplicities)."""
-        return cls(host, {(u, v): 1 for u, v in guest.edges()}, vertex_map, paths)
 
     # -- validity ---------------------------------------------------------------
 

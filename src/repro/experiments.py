@@ -90,32 +90,17 @@ def replicate(
     measurement: Callable[[int], float],
     num_seeds: int = 8,
     base_seed: int = 0,
-    *,
-    batch: bool = False,
 ) -> Replication:
     """Run ``measurement(seed)`` for ``num_seeds`` distinct seeds.
 
     The seeds are ``base_seed, base_seed + 1, ...`` so replications are
-    themselves reproducible.
-
-    ``batch=True`` instead calls ``measurement(seeds)`` **once** with
-    the whole seed list and expects one value per seed back -- the
-    in-process fast path for batched measurements such as
-    :func:`repro.routing.measure_bandwidth_many`, which amortize shared
-    setup and the simulator tick loop across seeds.  The values must
-    match the per-seed call bit-for-bit (the batched measurements in
-    this repo do).  Seeds worth fanning out over processes are sweep
-    cells: run them as jobs through :func:`repro.harness.run_sweep`.
+    themselves reproducible.  A measurement that takes the whole seed
+    list at once, such as :func:`repro.routing.measure_bandwidth_many`
+    (which shares its setup and tick loop across seeds), needs no
+    wrapper: build the :class:`Replication` from its values.  Seeds
+    worth fanning out over processes are sweep cells: run them as jobs
+    through :func:`repro.harness.run_sweep`.
     """
     check_positive_int(num_seeds, "num_seeds")
-    if batch:
-        raw = measurement([base_seed + i for i in range(num_seeds)])
-        values = tuple(float(v) for v in raw)
-        if len(values) != num_seeds:
-            raise ValueError(
-                f"batch measurement returned {len(values)} values "
-                f"for {num_seeds} seeds"
-            )
-        return Replication(values=values)
     values = tuple(float(measurement(base_seed + i)) for i in range(num_seeds))
     return Replication(values=values)

@@ -50,7 +50,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.harness.jobs import Job, canonical_json
 
@@ -388,10 +388,3 @@ class WorkQueue:
     def failure(self, job_hash: str) -> dict[str, Any] | None:
         """The terminal-failure payload for ``job_hash``, if any."""
         return _read_json(self.failed_dir / f"{job_hash}.json")
-
-    def iter_results(self) -> Iterator[dict[str, Any]]:
-        """Yield every settled result payload (unordered)."""
-        for name in self._names(self.results_dir):
-            payload = _read_json(self.results_dir / name)
-            if payload is not None:
-                yield payload

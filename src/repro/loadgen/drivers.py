@@ -51,9 +51,13 @@ class LoadResult:
     mode: str
     mix: str
     connections: int
+    #: every attempt, answered or not; ``errors`` counts the failed
+    #: ones (transport errors and HTTP statuses >= 400)
     requests: int
     errors: int
     wall_seconds: float
+    #: answered requests per second; latencies are of answered
+    #: requests only
     achieved_rps: float
     latency_ms: dict[str, Any]
     offered_rps: float | None = None
@@ -67,6 +71,11 @@ class LoadResult:
     #: run could measure; treat the percentiles as lower bounds).
     unsent: int = 0
     status_counts: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def answered(self) -> int:
+        """Requests the server answered with any HTTP status."""
+        return self.requests - self.status_counts.get("transport_error", 0)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready record; open-loop-only fields appear only in
@@ -131,6 +140,7 @@ class _Tally:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.requests = 0
+        self.answered = 0
         self.errors = 0
         self.status_counts: dict[str, int] = {}
 
@@ -138,6 +148,7 @@ class _Tally:
         key = str(status) if ok else "transport_error"
         with self._lock:
             self.requests += 1
+            self.answered += ok
             if not ok or status >= 400:
                 self.errors += 1
             self.status_counts[key] = self.status_counts.get(key, 0) + 1
@@ -182,7 +193,8 @@ def run_closed_loop(
                 method, path, body = mix.sample(rng)
                 t0 = time.perf_counter()
                 status, ok = client.request(method, path, body)
-                reservoir.observe(time.perf_counter() - t0)
+                if ok:
+                    reservoir.observe(time.perf_counter() - t0)
                 tally.record(status, ok)
         finally:
             client.close()
@@ -203,7 +215,7 @@ def run_closed_loop(
         requests=tally.requests,
         errors=tally.errors,
         wall_seconds=wall,
-        achieved_rps=tally.requests / wall if wall > 0 else 0.0,
+        achieved_rps=tally.answered / wall if wall > 0 else 0.0,
         latency_ms=reservoir.summary_ms(),
         status_counts=tally.status_counts,
     )
@@ -290,9 +302,10 @@ def run_open_loop(
                 sent = time.perf_counter()
                 status, ok = client.request(method, path, body)
                 done = time.perf_counter()
-                latency.observe(done - scheduled)
-                service.observe(done - sent)
-                send_lag.observe(sent - scheduled)
+                if ok:
+                    latency.observe(done - scheduled)
+                    service.observe(done - sent)
+                    send_lag.observe(sent - scheduled)
                 tally.record(status, ok)
         finally:
             client.close()
@@ -313,7 +326,7 @@ def run_open_loop(
         requests=tally.requests,
         errors=tally.errors,
         wall_seconds=wall,
-        achieved_rps=tally.requests / wall if wall > 0 else 0.0,
+        achieved_rps=tally.answered / wall if wall > 0 else 0.0,
         offered_rps=rate,
         latency_ms=latency.summary_ms(),
         service_ms=service.summary_ms(),

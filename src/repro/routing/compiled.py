@@ -16,12 +16,12 @@ without raising; asking for the engine when no provider works raises
 :class:`EngineUnavailableError`, which ``engine="auto"`` and the CLI
 turn into a silent fallback and a clean one-line error respectively.
 
-The wrapper stays in Python: it lays out the flat arrays (shared with
-the fast engine via :func:`repro.routing.engine.flatten_legs`), calls
-the kernel once, and converts the outputs.  No tracer hooks cross into
-the compiled region -- ``route.*`` spans and counters are emitted by the
-simulator around this call, so observability stays on the hoisted
-no-op path at zero per-tick cost.
+The wrapper stays in Python: it takes one run in the flat layout the
+fast engine also reads (:class:`repro.routing.engine.Run`), adds the
+kernel's scratch arrays, and calls the kernel once.  No tracer hooks
+cross into the compiled region -- ``route.*`` spans and counters are
+emitted by the simulator around this call, so observability stays on
+the hoisted no-op path at zero per-tick cost.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.routing.engine import flatten_legs
+from repro.routing.engine import Run, start_run
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import CSRAdjacency, Machine
 from repro.util.validation import UnavailableError
@@ -364,45 +364,36 @@ def _kernel_layout(machine: Machine, tables: NextHopTables):
 def route_compiled(
     machine: Machine,
     tables: NextHopTables,
-    legs: np.ndarray | list[list[int]],
-    release_times: np.ndarray,
-    max_ticks: int,
+    run: Run,
     policy: str,
-) -> tuple[int, np.ndarray, dict[tuple[int, int], int], int, int]:
-    """Route collapsed itineraries through the compiled kernel.
+) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    """Route one run through the compiled kernel.
 
-    Returns ``(total_time, delivery_times, edge_traffic, max_queue,
-    ticks_skipped)``, the first four exactly as the reference engine
-    produces.  The per-tick invariant assertions of ``validate=True``
-    live only in the Python engines; the equivalence suites pin this
-    kernel to them instead.
+    Returns ``(total_time, delivery_times, traffic, max_queue,
+    ticks_skipped)``, the first four exactly as
+    :func:`~repro.routing.engine.route_many` returns them.  The per-tick
+    invariant assertions of ``validate=True`` live only in the Python
+    engines; the equivalence suites pin this kernel to them instead.
     """
     runner = require_provider().route
 
-    npkts = len(legs)
-    csr = machine.csr_adjacency()
-    num_edges = csr.num_directed_edges
-    n = machine.num_nodes
+    leg_flat, leg_ptr, release, max_ticks = run
+    npkts = run.num_packets
+    num_edges = machine.csr_adjacency().num_directed_edges
     dist, next_eid, edge_dst, indptr, max_degree = _kernel_layout(
         machine, tables
     )
 
-    leg_flat, leg_ptr, leg_len, fin = flatten_legs(legs)
-    stage = np.ones(npkts, dtype=np.int64)
-    delivered = np.full(npkts, -1, dtype=np.int64)
-
-    # Self-messages deliver instantly; everything else is handed to the
-    # kernel as one (release, pid)-sorted injection stream (the kernel
-    # pre-enqueues the release-0 prefix before the clock starts).
-    release = np.asarray(release_times, dtype=np.int64)
-    is_self = (leg_len == 2) & (leg_flat[leg_ptr[:-1]] == fin)
-    delivered[is_self] = release[is_self]
-    travelling = np.nonzero(~is_self)[0]
-    undelivered = len(travelling)
+    # Everything but the self-messages goes to the kernel as one
+    # (release, pid)-sorted injection stream (the kernel pre-enqueues
+    # the release-0 prefix before the clock starts).
+    delivered, travelling = start_run(leg_flat, leg_ptr, release)
     order = np.lexsort((travelling, release[travelling]))
     inj_pids = np.ascontiguousarray(travelling[order])
     inj_times = np.ascontiguousarray(release[travelling][order])
 
+    fin = leg_flat[leg_ptr[1:] - 1]
+    stage = np.ones(npkts, dtype=np.int64)
     pkey = np.zeros(npkts, dtype=np.int64)
     qnext = np.full(npkts, -1, dtype=np.int64)
     qhead = np.full(num_edges, -1, dtype=np.int64)
@@ -420,23 +411,14 @@ def route_compiled(
         inj_pids, inj_times,
         pkey, qnext, qhead, qtail, qlen, mpid, meid, selbuf,
         delivered, traffic,
-        n, num_edges, int(max_ticks),
+        machine.num_nodes, num_edges, int(max_ticks),
         1 if policy == "fifo" else 0,
         0 if machine.port_limit is None else int(machine.port_limit),
-        undelivered,
+        len(travelling),
     )
     if status == KERNEL_STATUS_OVERRUN:
         raise RuntimeError(
             f"routing did not finish in {max_ticks} ticks "
             f"({left} packets left)"
         )
-
-    edge_src = csr.edge_src
-    nz = np.flatnonzero(traffic)
-    edge_traffic = dict(
-        zip(
-            zip(edge_src[nz].tolist(), edge_dst[nz].tolist()),
-            traffic[nz].tolist(),
-        )
-    )
-    return int(tick), delivered, edge_traffic, int(max_queue), int(skipped)
+    return int(tick), delivered, traffic, int(max_queue), int(skipped)

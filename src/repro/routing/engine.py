@@ -36,48 +36,59 @@ docs/PERFORMANCE.md, "The batched multi-run kernel").
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.obs import trace as obs
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
 
-__all__ = ["KEY_BITS", "flatten_legs", "group_releases", "route_many"]
+__all__ = ["KEY_BITS", "Run", "group_releases", "route_many", "start_run"]
 
 #: Bit budget of the packed ``(virtual edge, priority, sequence)``
 #: waiting-set key: it must stay a non-negative int64 with headroom.
 KEY_BITS = 62
 
 
-def flatten_legs(
-    legs: np.ndarray | list[list[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shared flat itinerary layout every kernel consumes.
+class Run(NamedTuple):
+    """One run's inputs in the flat layout every engine reads.
 
-    Returns ``(leg_flat, leg_ptr, leg_len, fin)``: the concatenated
-    waypoint stream, the packet offsets into it, per-packet waypoint
-    counts, and each packet's final destination.  :func:`route_many`
-    and the compiled kernel both index packet state through this one
-    layout, so itinerary semantics cannot drift between them.
+    Packet ``i`` visits the waypoints ``leg_flat[leg_ptr[i]:leg_ptr[i +
+    1]]`` in order (at least two, no two consecutive ones equal, except
+    that a self-message is ``[s, s]``) and enters the network at tick
+    ``release[i]``; the run must finish within ``max_ticks`` ticks.  The
+    arrays are int64, and the two the C kernel reads in place,
+    ``leg_flat`` and ``leg_ptr``, are contiguous.
+    :meth:`~repro.routing.simulator.RoutingSimulator.route` builds one
+    from any itinerary form.
     """
-    npkts = len(legs)
-    # A rectangular batch arrives as one 2-D array (every shortest-path
-    # batch) and is the layout already; ragged lists take the scan.
-    if isinstance(legs, np.ndarray):
-        as2d = np.asarray(legs, dtype=np.int64)
-        width = as2d.shape[1]
-        leg_flat = as2d.ravel()
-        leg_len = np.full(npkts, width, dtype=np.int64)
-        leg_ptr = np.arange(npkts + 1, dtype=np.int64) * width
-        return leg_flat, leg_ptr, leg_len, as2d[:, -1].copy()
-    leg_len = np.fromiter((len(leg) for leg in legs), dtype=np.int64, count=npkts)
-    leg_ptr = np.zeros(npkts + 1, dtype=np.int64)
-    np.cumsum(leg_len, out=leg_ptr[1:])
-    leg_flat = np.fromiter(
-        (x for leg in legs for x in leg), dtype=np.int64, count=int(leg_ptr[-1])
+
+    leg_flat: np.ndarray
+    leg_ptr: np.ndarray
+    release: np.ndarray
+    max_ticks: int
+
+    @property
+    def num_packets(self) -> int:
+        return len(self.release)
+
+
+def start_run(
+    leg_flat: np.ndarray, leg_ptr: np.ndarray, release: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state both kernels start from: ``(delivered, travelling)``.
+
+    A self-message is delivered at its release tick and every other
+    packet's delivery time is -1; ``travelling`` lists the other
+    packets' ids, ascending.
+    """
+    is_self = (np.diff(leg_ptr) == 2) & (
+        leg_flat[leg_ptr[:-1]] == leg_flat[leg_ptr[1:] - 1]
     )
-    fin = leg_flat[leg_ptr[1:] - 1]
-    return leg_flat, leg_ptr, leg_len, fin
+    delivered = np.full(len(release), -1, dtype=np.int64)
+    delivered[is_self] = release[is_self]
+    return delivered, np.flatnonzero(~is_self)
 
 
 def group_releases(
@@ -102,19 +113,16 @@ def group_releases(
 def route_many(
     machine: Machine,
     tables: NextHopTables,
-    runs: list[tuple[np.ndarray | list[list[int]], np.ndarray, int]],
+    runs: list[Run],
     policy: str,
     validate: bool = False,
-) -> list[tuple[int, np.ndarray, dict[tuple[int, int], int], int]]:
+) -> list[tuple[int, np.ndarray, np.ndarray, int]]:
     """Route K independent runs over one shared tick loop.
 
-    ``runs`` is a list of ``(legs, release_times, max_ticks)`` triples:
-    collapsed itineraries (an int64 ``(m, w)`` array or a list of
-    lists), per-packet release ticks and the tick budget of one run
-    each.  The return value is one ``(total_time, delivery_times,
-    edge_traffic, max_queue)`` tuple per run, bit-identical to what the
-    reference engine produces for that run alone.
-    ``RoutingSimulator.route`` calls this with a one-run batch.
+    The return value is one ``(total_time, delivery_times, traffic,
+    max_queue)`` tuple per run, where ``traffic`` counts the packets
+    each directed edge carried (by edge id); each is bit-identical to
+    what the reference engine produces for that run alone.
 
     Batching works because runs never share queues: run ``k`` lives on
     virtual directed edges ``local_eid + k * num_edges`` (and, for weak
@@ -152,28 +160,29 @@ def route_many(
     fifo = policy == "fifo"
     n = machine.num_nodes
 
-    sizes = np.fromiter((len(r[0]) for r in runs), dtype=np.int64, count=K)
+    sizes = np.fromiter((run.num_packets for run in runs), dtype=np.int64, count=K)
     run_ptr = np.zeros(K + 1, dtype=np.int64)
     np.cumsum(sizes, out=run_ptr[1:])
     npkts = int(run_ptr[-1])
     run_of = np.repeat(np.arange(K, dtype=np.int64), sizes)
-    run_max_ticks = np.fromiter((r[2] for r in runs), dtype=np.int64, count=K)
-
-    if npkts == 0:
-        return [(0, np.zeros(0, dtype=np.int64), {}, 0)] * K
-    # Flattened itineraries, run-major: packet ids ascend with run id.
-    # Each run flattens on its own (an array run without a row loop)
-    # and the layouts are concatenated.
-    layouts = [flatten_legs(r[0]) for r in runs if len(r[0])]
-    if len(layouts) == 1:
-        leg_flat, leg_ptr, leg_len, fin = layouts[0]
-    else:
-        leg_flat, _, leg_len, fin = (np.concatenate(col) for col in zip(*layouts))
-        leg_ptr = np.zeros(npkts + 1, dtype=np.int64)
-        np.cumsum(leg_len, out=leg_ptr[1:])
-    release = np.concatenate(
-        [np.asarray(r[1], dtype=np.int64) for r in runs if len(r[0])]
+    run_max_ticks = np.fromiter(
+        (run.max_ticks for run in runs), dtype=np.int64, count=K
     )
+
+    # The runs' layouts concatenated, run-major: packet ids ascend with
+    # run id.
+    if K == 1:
+        leg_flat, leg_ptr, release, _ = runs[0]
+    else:
+        leg_flat = np.concatenate([run.leg_flat for run in runs])
+        leg_ptr = np.zeros(npkts + 1, dtype=np.int64)
+        np.cumsum(
+            np.concatenate([np.diff(run.leg_ptr) for run in runs]),
+            out=leg_ptr[1:],
+        )
+        release = np.concatenate([run.release for run in runs])
+    leg_len = np.diff(leg_ptr)
+    fin = leg_flat[leg_ptr[1:] - 1]
 
     # Pack (edge, priority, seq) into int64 bit fields.  A packet is
     # enqueued once per hop it traverses, so each run's shortest-path hop
@@ -237,7 +246,6 @@ def route_many(
         eid64 = prio64 = None
 
     stage = np.ones(npkts, dtype=np.int64)
-    delivered = np.full(npkts, -1, dtype=np.int64)
     qlen = np.zeros(K * num_edges, dtype=np.int64)
     traffic = np.zeros(K * num_edges, dtype=np.int64)
     edge_base = run_of * num_edges
@@ -293,11 +301,9 @@ def route_many(
         np.maximum(qpeak, qlen, out=qpeak)
         new_keys.append(keys)
 
-    # Injection bookkeeping: self-messages deliver instantly; release-0
-    # packets enqueue before the clock starts; the rest wait in `pending`.
-    is_self = (leg_len == 2) & (leg_flat[leg_ptr[:-1]] == fin)
-    delivered[is_self] = release[is_self]
-    travelling = np.nonzero(~is_self)[0]
+    # Release-0 packets enqueue before the clock starts; the rest wait
+    # in `pending`.
+    delivered, travelling = start_run(leg_flat, leg_ptr, release)
     run_undeliv = np.bincount(run_of[travelling], minlength=K).astype(np.int64)
     undelivered = len(travelling)
     now = travelling[release[travelling] == 0]
@@ -414,23 +420,12 @@ def route_many(
         if ndone < len(done):
             enqueue(movers[~done], arrive[~done])
 
-    results = []
-    for k in range(K):
-        lo, hi = int(run_ptr[k]), int(run_ptr[k + 1])
-        tr = traffic[k * num_edges : (k + 1) * num_edges]
-        nz = np.flatnonzero(tr)
-        edge_traffic = dict(
-            zip(
-                zip(edge_src[nz].tolist(), edge_dst[nz].tolist()),
-                tr[nz].tolist(),
-            )
+    return [
+        (
+            int(run_total[k]),
+            delivered[run_ptr[k] : run_ptr[k + 1]].copy(),
+            traffic[k * num_edges : (k + 1) * num_edges],
+            int(qpeak[k * num_edges : (k + 1) * num_edges].max(initial=0)),
         )
-        results.append(
-            (
-                int(run_total[k]),
-                delivered[lo:hi].copy(),
-                edge_traffic,
-                int(qpeak[k * num_edges : (k + 1) * num_edges].max()),
-            )
-        )
-    return results
+        for k in range(K)
+    ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.experiments import Replication
 from repro.obs import trace as obs
-from repro.routing.simulator import DEFAULT_ENGINE, RoutingResult, RoutingSimulator
+from repro.routing.simulator import DEFAULT_ENGINE, RoutingSimulator
 from repro.routing.dimension_order import dimension_order_route
 from repro.routing.strategies import (
     shortest_path_itineraries,
@@ -79,39 +79,26 @@ def measure_bandwidth(
     results -- see docs/PERFORMANCE.md for when each wins).
     ``workload`` names a registered scenario (a :mod:`repro.workloads`
     key or built ``Workload``) as an alternative to passing ``traffic``
-    directly; the two are mutually exclusive.
+    directly; the two are mutually exclusive.  This is the one-seed case
+    of :func:`measure_bandwidth_many`.
     """
-    rng = rng_from_seed(seed)
-    with obs.span(
-        "measure_bandwidth", machine=machine.name, strategy=strategy
-    ) as sp:
-        traffic, num_messages = _validated(
-            machine, traffic, num_messages, strategy, workload, workload_params
-        )
-        sp.set(num_messages=num_messages)
-        with obs.span("measure.sample"):
-            messages = traffic.sampler()(num_messages, seed=rng)
-        with obs.span("measure.plan", strategy=strategy):
-            itineraries = _plan(machine, messages, strategy, rng)
-
-        sim = RoutingSimulator(machine, policy=policy, engine=engine)
-        result: RoutingResult = sim.route(itineraries)
-        sp.set(ticks=result.total_time, rate=round(result.delivery_rate, 4))
-    return BandwidthMeasurement(
-        machine_name=machine.name,
-        traffic_name=traffic.name,
-        strategy=strategy,
+    [meas] = measure_bandwidth_many(
+        machine,
+        [seed],
+        traffic=traffic,
         num_messages=num_messages,
-        total_time=result.total_time,
-        rate=result.delivery_rate,
-        max_edge_traffic=result.max_edge_traffic,
-        mean_latency=result.mean_latency,
+        strategy=strategy,
+        policy=policy,
+        engine=engine,
+        workload=workload,
+        workload_params=workload_params,
     )
+    return meas
 
 
 def _validated(machine, traffic, num_messages, strategy, workload=None,
                workload_params=None):
-    """Shared front half of the single and batched measurements."""
+    """The checked traffic and batch size of a measurement."""
     if strategy not in _STRATEGIES:
         raise ValueError(f"strategy must be one of {_STRATEGIES}, got {strategy!r}")
     n = machine.num_nodes
@@ -165,7 +152,7 @@ def _plan(
 
 def measure_bandwidth_many(
     machine: Machine,
-    seeds: list[int],
+    seeds: list[int | np.random.Generator | None],
     traffic: TrafficDistribution | None = None,
     num_messages: int | None = None,
     strategy: str = "shortest",
@@ -174,7 +161,7 @@ def measure_bandwidth_many(
     workload=None,
     workload_params: dict | None = None,
 ) -> list[BandwidthMeasurement]:
-    """Batched :func:`measure_bandwidth` across many seeds.
+    """:func:`measure_bandwidth` once per seed, in one batch.
 
     Returns one :class:`BandwidthMeasurement` per seed, each
     **bit-identical** to ``measure_bandwidth(machine, seed=s, ...)`` on
@@ -188,7 +175,7 @@ def measure_bandwidth_many(
     Valiant routing; dimension-order paths are ragged lists).
     """
     with obs.span(
-        "measure_bandwidth.many",
+        "measure_bandwidth",
         machine=machine.name,
         strategy=strategy,
         runs=len(seeds),
@@ -197,8 +184,9 @@ def measure_bandwidth_many(
             machine, traffic, num_messages, strategy, workload, workload_params
         )
         sp.set(num_messages=num_messages)
+        with obs.span("measure.sample"):
+            draw = traffic.sampler()  # the O(support) set-up, once
         batches = []
-        draw = traffic.sampler()  # hoist the per-call O(support) setup
         for seed in seeds:
             rng = rng_from_seed(seed)
             with obs.span("measure.sample"):
@@ -208,6 +196,12 @@ def measure_bandwidth_many(
 
         sim = RoutingSimulator(machine, policy=policy, engine=engine)
         results = sim.route_batch(batches)
+        if results:
+            rates = [r.delivery_rate for r in results]
+            sp.set(
+                ticks=max(r.total_time for r in results),
+                rate=round(sum(rates) / len(rates), 4),
+            )
     return [
         BandwidthMeasurement(
             machine_name=machine.name,
@@ -223,6 +217,39 @@ def measure_bandwidth_many(
     ]
 
 
+def _spec_options(spec: dict) -> tuple[Machine, dict]:
+    """The machine a bandwidth job spec names and the
+    :func:`measure_bandwidth_many` options it sets."""
+    machine = family_spec(spec["family"]).build_with_size(int(spec.get("size", 256)))
+    options = dict(
+        num_messages=spec.get("num_messages"),
+        strategy=spec.get("strategy", "shortest"),
+        policy=spec.get("policy", "farthest"),
+        engine=spec.get("engine", DEFAULT_ENGINE),
+        workload=spec.get("workload"),
+        workload_params=spec.get("workload_params"),
+    )
+    return machine, options
+
+
+def _job_value(spec: dict, machine: Machine, meas: BandwidthMeasurement,
+               fields: dict) -> dict:
+    """A bandwidth job's JSON value: the run's identity, ``fields``, and
+    the workload it sampled when the spec names one."""
+    out = {
+        "family": spec["family"],
+        "machine": meas.machine_name,
+        "n": machine.num_nodes,
+        "strategy": meas.strategy,
+        "num_messages": meas.num_messages,
+        **fields,
+    }
+    if spec.get("workload") is not None:
+        out["workload"] = spec["workload"]
+        out["traffic"] = meas.traffic_name
+    return out
+
+
 def measure_bandwidth_job(spec: dict) -> dict:
     """Harness job entry point for :func:`measure_bandwidth`.
 
@@ -236,32 +263,14 @@ def measure_bandwidth_job(spec: dict) -> dict:
     entries stay valid.  Returns a JSON-serializable dict; given the
     same spec the values are bit-identical in any process.
     """
-    machine = family_spec(spec["family"]).build_with_size(int(spec.get("size", 256)))
-    meas = measure_bandwidth(
-        machine,
-        num_messages=spec.get("num_messages"),
-        strategy=spec.get("strategy", "shortest"),
-        policy=spec.get("policy", "farthest"),
-        seed=int(spec.get("seed", 0)),
-        engine=spec.get("engine", DEFAULT_ENGINE),
-        workload=spec.get("workload"),
-        workload_params=spec.get("workload_params"),
-    )
-    out = {
-        "family": spec["family"],
-        "machine": meas.machine_name,
-        "n": machine.num_nodes,
-        "strategy": meas.strategy,
-        "num_messages": meas.num_messages,
+    machine, options = _spec_options(spec)
+    [meas] = measure_bandwidth_many(machine, [int(spec.get("seed", 0))], **options)
+    return _job_value(spec, machine, meas, {
         "total_time": meas.total_time,
         "rate": meas.rate,
         "max_edge_traffic": meas.max_edge_traffic,
         "mean_latency": meas.mean_latency,
-    }
-    if spec.get("workload") is not None:
-        out["workload"] = spec["workload"]
-        out["traffic"] = meas.traffic_name
-    return out
+    })
 
 
 def measure_bandwidth_batch_job(spec: dict) -> dict:
@@ -275,27 +284,14 @@ def measure_bandwidth_batch_job(spec: dict) -> dict:
     :func:`measure_bandwidth_many`, whose values equal sequential
     :func:`measure_bandwidth` calls bit for bit.
     """
-    machine = family_spec(spec["family"]).build_with_size(int(spec.get("size", 256)))
+    machine, options = _spec_options(spec)
     replicates = int(spec.get("replicates", 8))
     check_positive_int(replicates, "replicates")
     base_seed = int(spec.get("base_seed", 0))
     seeds = [base_seed + i for i in range(replicates)]
-    kwargs = dict(
-        num_messages=spec.get("num_messages"),
-        strategy=spec.get("strategy", "shortest"),
-        policy=spec.get("policy", "farthest"),
-        engine=spec.get("engine", DEFAULT_ENGINE),
-        workload=spec.get("workload"),
-        workload_params=spec.get("workload_params"),
-    )
-    many = measure_bandwidth_many(machine, seeds, **kwargs)
+    many = measure_bandwidth_many(machine, seeds, **options)
     rep = Replication(values=tuple(m.rate for m in many))
-    out = {
-        "family": spec["family"],
-        "machine": many[0].machine_name,
-        "n": machine.num_nodes,
-        "strategy": many[0].strategy,
-        "num_messages": many[0].num_messages,
+    return _job_value(spec, machine, many[0], {
         "replicates": replicates,
         "base_seed": base_seed,
         "rates": [m.rate for m in many],
@@ -306,8 +302,4 @@ def measure_bandwidth_batch_job(spec: dict) -> dict:
         "rate_ci95": rep.ci95,
         "rate_min": rep.min,
         "rate_max": rep.max,
-    }
-    if spec.get("workload") is not None:
-        out["workload"] = spec["workload"]
-        out["traffic"] = many[0].traffic_name
-    return out
+    })

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.obs import trace as obs
 from repro.routing import compiled as compiled_backend
-from repro.routing.engine import route_many
+from repro.routing.engine import Run, route_many
 from repro.routing.engine_names import DEFAULT_ENGINE, ENGINES
 from repro.routing.tables import NextHopTables
 from repro.topologies.base import Machine
@@ -132,9 +132,9 @@ class RoutingSimulator:
 
     def route(
         self,
-        itineraries: list[list[int]],
+        itineraries: list[list[int]] | np.ndarray,
         max_ticks: int | None = None,
-        release_times: list[int] | None = None,
+        release_times: list[int] | np.ndarray | None = None,
     ) -> RoutingResult:
         """Deliver one packet per itinerary.
 
@@ -146,65 +146,13 @@ class RoutingSimulator:
         since the clock starts moving packets at tick 1).  This supports
         open-loop injection for throughput/latency sweeps.  Returns when
         every packet has been delivered; ``delivery_times`` are absolute
-        clock values.  Both inputs may also be int64 arrays (an ``(m,
-        w)`` itinerary array, a length-``m`` release vector): the fast
-        and compiled engines route them without converting, and the
-        results equal those of the same values given as lists.
+        clock values.  Itineraries may be lists, tuples or an int64
+        ``(m, w)`` array, and release times a list or an int64 vector;
+        every form gives the same result.  A solo run is a one-run
+        batch: it takes the same engine dispatch as :meth:`route_batch`.
         """
-        npkts = len(itineraries)
-        if npkts == 0:
-            return RoutingResult(0, 0, np.zeros(0, dtype=np.int64), {})
-        legs, release, max_ticks = self._prepare(
-            itineraries, release_times, max_ticks
-        )
-
-        resolved = self._resolve_engine()
-        with obs.span(
-            f"route.{resolved}", policy=self.policy, packets=npkts
-        ) as sp:
-            skipped = None
-            if resolved == "reference":
-                # The spec runs on plain Python lists.
-                if isinstance(legs, np.ndarray):
-                    legs = legs.tolist()
-                result = self._route_reference(legs, release.tolist(), max_ticks)
-            else:
-                if resolved == "fast":
-                    [(total_time, delivered, edge_traffic, max_queue)] = (
-                        route_many(
-                            self.machine,
-                            self.tables,
-                            [(legs, release, max_ticks)],
-                            self.policy,
-                            validate=self.validate,
-                        )
-                    )
-                else:
-                    total_time, delivered, edge_traffic, max_queue, skipped = (
-                        compiled_backend.route_compiled(
-                            self.machine,
-                            self.tables,
-                            legs,
-                            release,
-                            max_ticks,
-                            self.policy,
-                        )
-                    )
-                result = RoutingResult(
-                    total_time=total_time,
-                    num_packets=npkts,
-                    delivery_times=delivered,
-                    edge_traffic=edge_traffic,
-                    max_queue=max_queue,
-                )
-            sp.set(ticks=result.total_time, max_queue=result.max_queue)
-            if skipped is not None:
-                sp.set(ticks_skipped=skipped)
-        obs.add("route.calls")
-        obs.add("route.ticks", result.total_time)
-        obs.add("route.packets", npkts)
-        if skipped is not None:
-            obs.add("route.ticks_skipped", skipped)
+        run = self._prepare(itineraries, release_times, max_ticks)
+        [result] = self._dispatch([run])
         return result
 
     def _resolve_engine(self) -> str:
@@ -220,27 +168,25 @@ class RoutingSimulator:
 
     def route_batch(
         self,
-        itineraries_list: list[list[list[int]]],
-        release_times_list: list[list[int] | None] | None = None,
+        itineraries_list: list[list[list[int]] | np.ndarray],
+        release_times_list: list[list[int] | np.ndarray | None] | None = None,
         max_ticks: int | list[int | None] | None = None,
     ) -> list[RoutingResult]:
         """Route K independent runs; each result is bit-identical to
         :meth:`route` on that run alone.
 
-        ``itineraries_list`` holds one itinerary batch per run, each a
-        list of lists or an int64 ``(m, w)`` array as :meth:`route`
-        takes it; ``release_times_list`` (optional) one release vector
-        per run, a list or an int64 array (``None`` entries mean
-        all-zero releases); ``max_ticks`` is a single budget shared by
-        every run, a per-run list, or ``None`` for the per-run
-        hop-derived default.  On the fast engine (and on
-        ``auto`` when it resolves to fast) all runs share one
-        vectorized tick loop (:func:`route_many`) keyed by per-run
-        virtual edge ids, so the per-tick dispatch overhead amortizes
-        across the batch; the reference and compiled engines route the
-        runs sequentially through :meth:`route`, which keeps the per-run
-        results trivially bit-identical.  Either way a run that would
-        raise alone (exceeding its own ``max_ticks``) raises here too.
+        ``itineraries_list`` holds one itinerary batch per run, in any
+        form :meth:`route` takes; ``release_times_list`` (optional) one
+        release vector per run (``None`` entries mean all-zero
+        releases); ``max_ticks`` is a single budget shared by every run,
+        a per-run list, or ``None`` for the per-run hop-derived default.
+        Every run is checked as :meth:`route` checks it, and a run that
+        would raise alone (exceeding its own ``max_ticks``) raises here
+        too.  On the fast engine (and on ``auto`` when it resolves to
+        fast) all runs share one vectorized tick loop
+        (:func:`route_many`) keyed by per-run virtual edge ids, so the
+        per-tick dispatch overhead amortizes across the batch; the
+        reference and compiled engines route the runs one by one.
         """
         K = len(itineraries_list)
         if release_times_list is None:
@@ -259,122 +205,166 @@ class RoutingSimulator:
             return []
 
         total_packets = sum(len(its) for its in itineraries_list)
-        resolved = self._resolve_engine()
         with obs.span(
             "route.batch",
-            engine=resolved,
+            engine=self._resolve_engine(),
             policy=self.policy,
             runs=K,
             packets=total_packets,
         ) as sp:
-            if resolved != "fast":
-                results = [
-                    self.route(its, max_ticks=mt, release_times=rel)
+            results = self._dispatch(
+                [
+                    self._prepare(its, rel, mt)
                     for its, rel, mt in zip(
                         itineraries_list, release_times_list, budgets
                     )
                 ]
-            else:
-                # Prepare every run exactly as route() would, then hand
-                # the non-empty ones to the shared kernel.
-                prepared: list[tuple | None] = []
-                for its, rel, mt in zip(
-                    itineraries_list, release_times_list, budgets
-                ):
-                    if len(its) == 0:
-                        prepared.append(None)
-                    else:
-                        prepared.append(self._prepare(its, rel, mt))
-                live = [p for p in prepared if p is not None]
-                raw = iter(
-                    route_many(
-                        self.machine,
-                        self.tables,
-                        live,
-                        self.policy,
-                        validate=self.validate,
-                    )
-                )
-                results = []
-                for p in prepared:
-                    if p is None:
-                        results.append(
-                            RoutingResult(0, 0, np.zeros(0, dtype=np.int64), {})
-                        )
-                        continue
-                    total_time, delivered, edge_traffic, max_queue = next(raw)
-                    results.append(
-                        RoutingResult(
-                            total_time=total_time,
-                            num_packets=len(p[0]),
-                            delivery_times=delivered,
-                            edge_traffic=edge_traffic,
-                            max_queue=max_queue,
-                        )
-                    )
-            sp.set(ticks=max((r.total_time for r in results), default=0))
+            )
+            sp.set(ticks=max(r.total_time for r in results))
         obs.add("route.batch.calls")
         obs.add("route.batch.runs", K)
         obs.add("route.batch.packets", total_packets)
         return results
+
+    def _dispatch(self, runs: list[Run]) -> list[RoutingResult]:
+        """Route prepared runs on the resolved engine: the one engine
+        dispatch behind :meth:`route` and :meth:`route_batch`.
+
+        The fast engine routes every non-empty run in one shared tick
+        loop; the compiled and reference engines take one kernel call
+        per run.  Each kernel call is one ``route.<engine>`` span, and
+        the ``route.*`` counters count the runs it routed.  An empty run
+        calls no kernel.
+        """
+        resolved = self._resolve_engine()
+        results = [
+            RoutingResult(0, 0, np.zeros(0, dtype=np.int64), {}) for _ in runs
+        ]
+        live = [k for k, run in enumerate(runs) if run.num_packets]
+        calls = [live] if resolved == "fast" and live else [[k] for k in live]
+        for call in calls:
+            batch = [runs[k] for k in call]
+            packets = sum(run.num_packets for run in batch)
+            skipped = None
+            with obs.span(
+                f"route.{resolved}", policy=self.policy, packets=packets
+            ) as sp:
+                if resolved == "fast":
+                    raw = route_many(
+                        self.machine,
+                        self.tables,
+                        batch,
+                        self.policy,
+                        validate=self.validate,
+                    )
+                    out = [self._result(*r) for r in raw]
+                elif resolved == "compiled":
+                    *raw, skipped = compiled_backend.route_compiled(
+                        self.machine, self.tables, batch[0], self.policy
+                    )
+                    out = [self._result(*raw)]
+                else:
+                    out = [self._route_reference(batch[0])]
+                sp.set(
+                    ticks=max(r.total_time for r in out),
+                    max_queue=max(r.max_queue for r in out),
+                )
+                if skipped is not None:
+                    sp.set(ticks_skipped=skipped)
+            for k, result in zip(call, out):
+                results[k] = result
+            obs.add("route.calls", len(out))
+            obs.add("route.ticks", sum(r.total_time for r in out))
+            obs.add("route.packets", packets)
+            if skipped is not None:
+                obs.add("route.ticks_skipped", skipped)
+        return results
+
+    def _result(
+        self,
+        total_time: int,
+        delivered: np.ndarray,
+        traffic: np.ndarray,
+        max_queue: int,
+    ) -> RoutingResult:
+        """A kernel's output for one run, its per-edge-id ``traffic``
+        keyed by directed link ``(u, v)`` as the reference engine keys
+        it."""
+        csr = self.machine.csr_adjacency()
+        nz = np.flatnonzero(traffic)
+        edge_traffic = dict(
+            zip(
+                zip(csr.edge_src[nz].tolist(), csr.edge_dst[nz].tolist()),
+                traffic[nz].tolist(),
+            )
+        )
+        return RoutingResult(
+            total_time=total_time,
+            num_packets=len(delivered),
+            delivery_times=delivered,
+            edge_traffic=edge_traffic,
+            max_queue=max_queue,
+        )
 
     def _prepare(
         self,
         itineraries: list[list[int]] | np.ndarray,
         release_times: list[int] | np.ndarray | None,
         max_ticks: int | None,
-    ) -> tuple[np.ndarray | list[list[int]], np.ndarray, int]:
-        """Validate one run's inputs and collapse its itineraries.
+    ) -> Run:
+        """Check one run's inputs and lay them out as a :class:`Run`.
 
-        This is the shared front half of :meth:`route` and
-        :meth:`route_batch`: same checks, same leg collapsing, same
-        hop-derived default tick budget, so the two paths cannot drift.
-
-        Itineraries are a list of lists or an int64 ``(m, w)`` array;
-        release times a list, an int64 array or ``None``.  A rectangular
-        batch (every itinerary the same width, the common src/dest and
-        Valiant shapes) is kept as one int64 array, which an array input
-        already is: a width-2 itinerary is collapse-invariant (``[s,
-        s]`` collapses to ``[s]`` and pads straight back), and a wider
-        one passes through whenever no consecutive waypoints repeat.
-        Only a ragged batch is collapsed itinerary by itinerary into
-        lists.  Every waypoint is checked against ``[0, n)`` with one
-        array test before the tables or an engine index with it, and the
-        release times come back as an int64 array, so the fast and
-        compiled engines consume both without a per-packet conversion.
+        Every input form -- a sequence of lists, tuples or arrays, or an
+        int64 ``(m, w)`` array -- becomes the one flat int64 layout, and
+        every waypoint is checked against ``[0, n)`` with one array test
+        before the tables or an engine index with it.  Consecutive
+        duplicate waypoints, found with one comparison over the flat
+        stream, are collapsed, so waypoint advancement is single-step (a
+        repeated waypoint could otherwise slip past the delivery check);
+        an itinerary left with one node becomes the self-message ``[s,
+        s]``.  Empty runs get the same checks.
         """
-        npkts = len(itineraries)
         n = self.machine.num_nodes
-        legs = None
-        try:
-            arr = np.asarray(itineraries, dtype=np.int64)
-        except (ValueError, TypeError):
-            arr = None  # ragged or non-numeric: take the generic path
-        if arr is not None and arr.ndim == 2 and arr.shape[1] >= 2:
-            if arr.shape[1] == 2 or bool((arr[:, 1:] != arr[:, :-1]).all()):
-                legs = nodes = arr
-        if legs is None:
-            # Consecutive duplicate waypoints are collapsed so waypoint
-            # advancement in enqueue() is single-step (a repeated
-            # waypoint could otherwise slip past the delivery check).
-            if isinstance(itineraries, np.ndarray):
-                itineraries = itineraries.tolist()
-            legs = []
-            for it in itineraries:
-                if len(it) < 2:
-                    raise ValueError(f"itinerary needs src and dest, got {it}")
-                collapsed = [it[0]]
-                for x in it[1:]:
-                    if x != collapsed[-1]:
-                        collapsed.append(x)
-                if len(collapsed) == 1:
-                    collapsed.append(collapsed[0])
-                legs.append(collapsed)
-            nodes = np.fromiter(chain.from_iterable(legs), dtype=np.int64)
-        bad = (nodes < 0) | (nodes >= n)
+        if isinstance(itineraries, np.ndarray) and itineraries.ndim == 2:
+            npkts, width = itineraries.shape
+            flat = np.asarray(itineraries, dtype=np.int64).ravel()
+            ptr = np.arange(npkts + 1, dtype=np.int64) * width
+        else:
+            npkts = len(itineraries)
+            ptr = np.zeros(npkts + 1, dtype=np.int64)
+            np.cumsum(
+                np.fromiter(map(len, itineraries), dtype=np.int64, count=npkts),
+                out=ptr[1:],
+            )
+            flat = np.fromiter(
+                chain.from_iterable(itineraries), dtype=np.int64, count=int(ptr[-1])
+            )
+        short = np.diff(ptr) < 2
+        if short.any():
+            it = itineraries[int(short.argmax())]
+            if isinstance(it, np.ndarray):
+                it = it.tolist()
+            raise ValueError(f"itinerary needs src and dest, got {it}")
+        bad = (flat < 0) | (flat >= n)
         if bad.any():
-            node = int(nodes.ravel()[bad.argmax()])
+            node = int(flat[bad.argmax()])
             raise ValueError(f"itinerary node {node} out of range for n={n}")
+        # Repeats: positions equal to the waypoint before them, except a
+        # packet's source (which follows the previous packet's dest).
+        repeats = np.flatnonzero(flat[1:] == flat[:-1]) + 1
+        repeats = repeats[ptr[np.searchsorted(ptr, repeats)] != repeats]
+        if len(repeats):
+            keep = np.ones(len(flat), dtype=bool)
+            keep[repeats] = False
+            kept = np.zeros(len(flat) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept[1:])
+            lens = kept[ptr[1:]] - kept[ptr[:-1]]
+            lone = lens == 1
+            keep[ptr[1:][lone] - 1] = True  # [s, s, ...] -> [s, s]
+            lens[lone] = 2
+            flat = flat[keep]
+            ptr = np.zeros(npkts + 1, dtype=np.int64)
+            np.cumsum(lens, out=ptr[1:])
 
         if release_times is None:
             release = np.zeros(npkts, dtype=np.int64)
@@ -403,18 +393,20 @@ class RoutingSimulator:
             # bounds the finish time; runaway runs now fail fast instead
             # of spinning for the old quadratic 4*npkts*n default.
             max_ticks = (
-                self.tables.itinerary_hops(legs) + int(release.max()) + 64
+                self.tables.itinerary_hops(flat, ptr)
+                + int(release.max(initial=0))
+                + 64
             )
-        return legs, release, max_ticks
+        return Run(flat, ptr, release, max_ticks)
 
     # -- the reference engine (executable specification) ----------------------
 
-    def _route_reference(
-        self,
-        legs: list[list[int]],
-        release_times: list[int],
-        max_ticks: int,
-    ) -> RoutingResult:
+    def _route_reference(self, run: Run) -> RoutingResult:
+        # The spec runs on plain Python lists.
+        flat, ptr = run.leg_flat.tolist(), run.leg_ptr.tolist()
+        legs = [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+        release_times = run.release.tolist()
+        max_ticks = run.max_ticks
         npkts = len(legs)
         stage = [1] * npkts  # index of current target waypoint
         delivered = np.full(npkts, -1, dtype=np.int64)

@@ -170,10 +170,6 @@ class NextHopTables:
             self._loads = loads
         return self._loads
 
-    @property
-    def has_dense(self) -> bool:
-        return self._dense is not None
-
     # -- queries -------------------------------------------------------------
 
     def next_hop(self, node: int, dest: int) -> int:
@@ -219,24 +215,23 @@ class NextHopTables:
                 raise RuntimeError("routing loop detected")
         return out
 
-    def itinerary_hops(self, legs: list[list[int]]) -> int:
-        """Total shortest-path hop count over all itinerary legs."""
-        if self._dense is not None and len(legs):
-            if isinstance(legs, np.ndarray) and legs.ndim == 2:
-                # Rectangular batch: every consecutive pair is a leg.
-                return int(self._dense.dist[legs[:, :-1], legs[:, 1:]].sum())
-            flat = np.concatenate([np.asarray(leg, dtype=np.int64) for leg in legs])
-            lens = np.fromiter((len(leg) for leg in legs), dtype=np.int64)
-            ends = np.cumsum(lens) - 1
-            inner = np.ones(len(flat) - 1, dtype=bool)
-            inner[ends[:-1]] = False  # don't pair across packet boundaries
-            a, b = flat[:-1][inner], flat[1:][inner]
-            return int(self._dense.dist[a, b].sum())
-        total = 0
-        for leg in legs:
-            for a, b in zip(leg, leg[1:]):
-                total += self.distance(a, b)
-        return total
+    def itinerary_hops(self, leg_flat: np.ndarray, leg_ptr: np.ndarray) -> int:
+        """Total shortest-path hop count over every leg of itineraries in
+        the flat layout of :class:`~repro.routing.engine.Run`."""
+        if self._dense is not None:
+            # Every consecutive waypoint pair, minus the pairs that
+            # straddle two packets; flat ``u * n + v`` indices make it
+            # one gather.
+            n = self.machine.num_nodes
+            hops = self._dense.dist.take(leg_flat[:-1] * n + leg_flat[1:])
+            return int(hops.sum() - hops[leg_ptr[1:-1] - 1].sum())
+        starts = np.ones(len(leg_flat), dtype=bool)
+        starts[leg_ptr[1:] - 1] = False  # a packet's last waypoint starts no leg
+        a = np.flatnonzero(starts)
+        return sum(
+            self.distance(u, v)
+            for u, v in zip(leg_flat[a].tolist(), leg_flat[a + 1].tolist())
+        )
 
     @property
     def num_cached(self) -> int:

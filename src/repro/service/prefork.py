@@ -369,7 +369,6 @@ def serve_prefork(
     snapshot: str | None = None,
     metrics_dir: str | Path | None = None,
     respawn_limit: int | None = None,
-    strategy: str | None = None,
 ) -> int:
     """Master entry point: bind, fork, supervise, drain; returns exit code.
 
@@ -380,7 +379,7 @@ def serve_prefork(
     if workers < 2:
         raise ValueError("serve_prefork needs workers >= 2; "
                          "use repro.service.server.serve for one process")
-    strategy = choose_strategy(strategy)
+    strategy = choose_strategy()
     if respawn_limit is None:
         respawn_limit = DEFAULT_RESPAWN_LIMIT
     if snapshot is not None:

@@ -51,12 +51,6 @@ class FamilySpec:
         """Build a machine of approximately ``n_target`` processors."""
         return self.build(n_target, **kwargs)
 
-    def slowdown_vs(self, host: "FamilySpec") -> LogPoly:
-        """Symbolic ``beta_G(n) / beta_H(m)`` is *not* well-typed (different
-        variables); use :mod:`repro.theory.slowdown`.  Provided here only
-        for same-variable ratios (G and H of equal size)."""
-        return self.beta / host.beta
-
 
 def _pow2_near(n: int, lo: int = 1) -> int:
     best, k = None, lo

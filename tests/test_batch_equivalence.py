@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from tests.hypothesis_profiles import SLOW
 
-from repro.experiments import replicate
+from repro.cli import main
+from repro.experiments import Replication, replicate
+from repro.obs import read_events
 from repro.routing import (
     RoutingSimulator,
     measure_bandwidth,
@@ -289,13 +291,10 @@ class TestMeasureBandwidthMany:
 
     def test_replicate_batch_path(self):
         machine = family_spec("mesh_2").build_with_size(36)
-        batched = replicate(
-            lambda seeds: [
-                m.rate for m in measure_bandwidth_many(machine, seeds)
-            ],
-            num_seeds=5,
-            base_seed=11,
-            batch=True,
+        batched = Replication(
+            values=tuple(
+                m.rate for m in measure_bandwidth_many(machine, [11, 12, 13, 14, 15])
+            )
         )
         serial = replicate(
             lambda seed: measure_bandwidth(machine, seed=seed).rate,
@@ -306,6 +305,17 @@ class TestMeasureBandwidthMany:
         assert batched.ci95 == serial.ci95
         assert batched.p50 == serial.p50
 
-    def test_replicate_batch_rejects_bad_measurement(self):
-        with pytest.raises(ValueError):
-            replicate(lambda seeds: [1.0], num_seeds=3, batch=True)
+    def test_cli_replicates_route_each_seed_once(self, tmp_path):
+        """``bandwidth --replicates 3`` routes three runs: the measured
+        rate it prints is the first replicate's, not a fourth run of the
+        base seed."""
+        path = tmp_path / "trace.jsonl"
+        argv = ["bandwidth", "mesh_2", "--size", "16", "--replicates", "3",
+                "--trace", str(path)]
+        assert main(argv) == 0
+        spans = [e for e in read_events(path) if e["type"] == "span"]
+        batches = {e["id"]: e["attrs"]["runs"] for e in spans
+                   if e["name"] == "route.batch"}
+        solo = [e for e in spans if e["name"].startswith("route.")
+                and e["name"] != "route.batch" and e["parent"] not in batches]
+        assert sum(batches.values()) + len(solo) == 3

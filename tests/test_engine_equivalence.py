@@ -16,6 +16,7 @@ path on which ``auto`` must fall back to ``fast``.
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -31,7 +32,13 @@ from repro.routing import (
 )
 from repro.routing import compiled as compiled_backend
 from repro.routing.saturation import saturation_sweep
-from repro.topologies import all_family_keys, build_mesh, build_ring, family_spec
+from repro.topologies import (
+    Machine,
+    all_family_keys,
+    build_mesh,
+    build_ring,
+    family_spec,
+)
 from repro.traffic import symmetric_traffic
 from repro.workloads import all_reduce_schedule, all_workload_keys, build_workload
 
@@ -140,6 +147,32 @@ def test_mixed_edge_case_itineraries_agree():
     assert_engines_agree(machine, its)
 
 
+def _collapsed(it):
+    """Consecutive repeats dropped, one node left doubled: the
+    per-itinerary loop the simulator's vectorised collapse replaced."""
+    out = [it[0]]
+    for x in it[1:]:
+        if x != out[-1]:
+            out.append(x)
+    return out if len(out) > 1 else out * 2
+
+
+@pytest.mark.parametrize("engine", COMPARED)
+def test_repeated_waypoints_collapse_like_the_per_itinerary_loop(engine):
+    """Routing itineraries with repeated waypoints equals routing them
+    collapsed by hand; a packet whose source repeats the previous
+    packet's destination keeps it."""
+    rng = np.random.default_rng(5)
+    its = [[4, 4], [0, 4, 4, 0], [1, 3, 3, 3, 5], [5, 5, 5], [5, 2], [2, 6]]
+    its += [rng.integers(0, 3, size=rng.integers(2, 6)).tolist() for _ in range(40)]
+    sim = RoutingSimulator(build_ring(8), engine=engine)
+    got = sim.route(its)
+    want = sim.route([_collapsed(it) for it in its])
+    assert (got.total_time, got.max_queue) == (want.total_time, want.max_queue)
+    assert np.array_equal(got.delivery_times, want.delivery_times)
+    assert got.edge_traffic == want.edge_traffic
+
+
 @pytest.mark.parametrize("engine", COMPARED)
 @pytest.mark.parametrize(
     "its, node",
@@ -155,6 +188,30 @@ def test_out_of_range_waypoints_rejected(engine, its, node):
             sim.route(form)
         with pytest.raises(ValueError, match="out of range for n=8"):
             sim.route_batch([[[0, 1]], form])
+
+
+@pytest.mark.parametrize("engine", COMPARED)
+def test_empty_runs_check_their_inputs(engine):
+    """An empty run gets the same input checks as any other: surplus
+    release times are refused, not ignored."""
+    sim = RoutingSimulator(build_ring(8), engine=engine)
+    with pytest.raises(ValueError, match="^2 release times for 0 packets$"):
+        sim.route([], release_times=[1, 2])
+    with pytest.raises(ValueError, match="^3 release times for 0 packets$"):
+        sim.route_batch([[], [[0, 1]]], [[5, 6, 7], None])
+    assert sim.route([], release_times=[]).num_packets == 0
+
+
+@pytest.mark.parametrize("engine", COMPARED)
+def test_single_node_machine_delivers_self_messages(engine):
+    """A machine with no links still routes: its self-messages arrive at
+    their release ticks and no queue ever forms."""
+    graph = nx.Graph()
+    graph.add_node(0)
+    sim = RoutingSimulator(Machine(graph, "single"), engine=engine)
+    res = sim.route([[0, 0], [0, 0]], release_times=[3, 0])
+    assert res.delivery_times.tolist() == [3, 0]
+    assert (res.total_time, res.max_queue, res.edge_traffic) == (0, 0, {})
 
 
 def test_invalid_engine_rejected():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import tempfile
 import threading
 import time
@@ -20,6 +21,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from repro.cli import main
 from repro.loadgen import (
     LatencyReservoir,
     percentile,
@@ -187,6 +189,49 @@ class TestClosedLoop:
         host, port = live_server
         with pytest.raises(ValueError):
             run_closed_loop(host, port, resolve_mix("health"), connections=0)
+
+
+def _closed_port() -> int:
+    """A local port nothing listens on (bound once, then released)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestUnansweredRequests:
+    """Against a port nothing listens on, every attempt is an error,
+    and none of them counts as throughput or latency."""
+
+    def test_closed_loop(self):
+        result = run_closed_loop(
+            "127.0.0.1", _closed_port(), resolve_mix("health"),
+            connections=1, duration=0.2,
+        )
+        assert result.requests > 0
+        assert result.errors == result.requests
+        assert result.answered == 0
+        assert result.achieved_rps == 0.0
+        assert result.latency_ms["count"] == 0
+
+    def test_open_loop(self):
+        result = run_open_loop(
+            "127.0.0.1", _closed_port(), resolve_mix("health"),
+            rate=200.0, duration=0.2, connections=2,
+        )
+        assert result.requests > 0
+        assert result.errors == result.requests
+        assert result.answered == 0
+        assert result.achieved_rps == 0.0
+        for summary in (result.latency_ms, result.service_ms, result.send_lag_ms):
+            assert summary["count"] == 0
+
+    def test_cli_exits_with_one_error_line(self):
+        port = _closed_port()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loadtest", "--port", str(port), "--duration", "0.2"])
+        message = str(excinfo.value)
+        assert message.startswith(f"error: no request to 127.0.0.1:{port} was answered")
+        assert "\n" not in message
 
 
 class _StallingHandler(BaseHTTPRequestHandler):
