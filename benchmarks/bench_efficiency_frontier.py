@@ -32,7 +32,7 @@ from repro.util import format_table
 def _sweep():
     guest = build_de_bruijn(8)  # n = 256, lg^2 n = 64
     hosts = [build_mesh(s, 2) for s in (2, 4, 8, 12, 16)]
-    return guest, [Emulator(guest, h, seed=0).run(2) for h in hosts]
+    return guest, [Emulator(guest, h).run(2) for h in hosts]
 
 
 def test_inefficiency_monotone(benchmark):

@@ -55,7 +55,7 @@ def test_measured_slowdown_tracks_n_over_lg(benchmark):
     def run():
         out = {}
         for order in (6, 7, 8):
-            rep = Emulator(build_de_bruijn(order), build_mesh(host_side, 2), seed=0).run(2)
+            rep = Emulator(build_de_bruijn(order), build_mesh(host_side, 2)).run(2)
             out[order] = rep
         return out
 

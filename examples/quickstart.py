@@ -64,7 +64,7 @@ def main() -> None:
     print(f"  operational rate of the guest: {meas.rate:.1f} msgs/tick "
           f"({meas.num_messages} msgs in {meas.total_time} ticks)")
     for h in hosts:
-        rep = Emulator(guest, h, seed=0).run(4)
+        rep = Emulator(guest, h).run(4)
         marker = " <= efficient regime" if rep.slowdown <= 2.5 * rep.load_bound else ""
         print(
             f"  emulate on {h.name:18s}: S = {rep.slowdown:8.1f}  "

@@ -10,9 +10,10 @@ Commands:
 * ``catalog``     -- print the full guest x host maximum-host-size matrix;
 * ``families``    -- list every registered machine family;
 * ``workloads``   -- list every registered traffic scenario;
-* ``sweep``       -- run a cached (optionally parallel) parameter sweep;
-* ``fabric``      -- run a sweep on the leased work-queue fabric
-  (crash-tolerant workers, resumable queue; see docs/FABRIC.md);
+* ``sweep``       -- run a parameter grid, in process or on ``--workers N``
+  forked fabric workers (see docs/FABRIC.md); with ``--store DIR`` every
+  cell whose progress line printed is in the store, so rerunning an
+  interrupted sweep with the same store resumes it;
 * ``snapshot``    -- build/inspect a memory-mapped catalog snapshot the
   service mounts as its fastest cache tier (``serve --snapshot``);
 * ``serve``       -- run the long-lived JSON query service over HTTP
@@ -60,6 +61,21 @@ _FIGURE1_N = Field(
 
 #: ``serve --port`` and ``loadtest --port``: a TCP port (0 = ephemeral).
 _PORT = Field("port", "int", default=8080, minimum=0, maximum=65535, help="TCP port")
+
+#: ``loadtest``'s load shape, bounded so a bad value names its flag: a
+#: zero timeout makes a non-blocking socket, a window that is not
+#: positive sends nothing, each connection is a thread, and an open loop
+#: draws rate x duration arrival times up front.
+_LOAD_FIELDS = (
+    Field("connections", "int", default=4, minimum=1, maximum=256,
+          help="concurrent keep-alive connections"),
+    Field("rate", "float", minimum=0.01, maximum=10000.0,
+          help="offered requests/second (open loop; required)"),
+    Field("duration", "float", default=5.0, minimum=0.01, maximum=3600.0,
+          help="measurement window in seconds"),
+    Field("timeout", "float", default=30.0, minimum=0.01, maximum=3600.0,
+          help="per-request client timeout in seconds"),
+)
 
 
 def _add_field(parser: argparse.ArgumentParser, field: Field) -> None:
@@ -152,7 +168,7 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    """The grid, deadline and output flags ``sweep`` and ``fabric run`` share."""
+    """``sweep``'s grid, deadline, store and output flags."""
     parser.add_argument("job", help="job alias or dotted 'module:callable' path")
     parser.add_argument("--families", nargs="*", help="axis sugar: family keys")
     parser.add_argument("--sizes", type=int, nargs="*", help="axis sugar: sizes")
@@ -175,7 +191,9 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         "--timeout", type=float, default=None, help="per-job timeout (seconds)"
     )
     parser.add_argument(
-        "--store", default=None, metavar="DIR", help="result-store directory"
+        "--store", default=None, metavar="DIR",
+        help="result-store directory (settled cells land here; a rerun "
+        "serves them)",
     )
     parser.add_argument(
         "--out", default=None, metavar="FILE", help="write full JSON"
@@ -353,7 +371,7 @@ def _cmd_emulate(args) -> int:
         t0 = time.perf_counter()
         guest = family_spec(p["guest"]).build_with_size(p["guest_size"])
         host = family_spec(p["host"]).build_with_size(p["host_size"])
-        rep = Emulator(guest, host, seed=p["seed"]).run(p["steps"])
+        rep = Emulator(guest, host).run(p["steps"])
         wall = time.perf_counter() - t0
     print(rep)
     print(f"inefficiency I = {rep.inefficiency:.2f} "
@@ -446,10 +464,16 @@ def _grid_jobs(args) -> list:
     return expand_grid(args.job, axes, base)
 
 
-def _print_sweep(args, jobs, sweep, resumed: bool = False) -> None:
-    """Shared ``sweep``/``fabric run`` reporting: table, summary, --out."""
-    from repro.harness import canonical_json
+def _cmd_sweep(args) -> int:
+    from repro.harness import ResultStore, canonical_json, local_executor, run_sweep
 
+    jobs = _grid_jobs(args)
+    executor = local_executor(args.workers, args.timeout, args.retries)
+    store = ResultStore(args.store) if args.store else None
+    with _traced(args, "cli.sweep"):
+        sweep = run_sweep(
+            jobs, executor=executor, store=store, progress=not args.quiet
+        )
     rows = []
     for r in sweep.results:
         value = canonical_json(r.value) if r.ok else f"ERROR: {r.error}"
@@ -475,57 +499,7 @@ def _print_sweep(args, jobs, sweep, resumed: bool = False) -> None:
         f"{sweep.num_retries} retries, {sweep.num_timeouts} timeouts"
         + (f"; store {sweep.store_stats}" if sweep.store_stats else "")
     )
-    if resumed:
-        print(
-            f"resumed: {sweep.num_resumed}/{len(jobs)} cells served from "
-            f"the store, {len(jobs) - sweep.num_resumed} executed"
-        )
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(sweep.as_dict(), indent=2) + "\n")
-        print(f"wrote {args.out}")
-
-
-def _cmd_sweep(args) -> int:
-    from repro.harness import ResultStore, local_executor, run_sweep
-
-    if args.resume and not args.store:
-        raise SystemExit(
-            "--resume needs --store DIR: resuming means skipping the cells "
-            "a previous run already persisted there"
-        )
-    jobs = _grid_jobs(args)
-    executor = local_executor(args.workers, args.timeout, args.retries)
-    store = ResultStore(args.store) if args.store else None
-    with _traced(args, "cli.sweep"):
-        sweep = run_sweep(
-            jobs, executor=executor, store=store, progress=not args.quiet
-        )
-    _print_sweep(args, jobs, sweep, resumed=args.resume)
-    return 0 if sweep.ok else 1
-
-
-def _cmd_fabric_run(args) -> int:
-    from repro.fabric import FabricExecutor
-    from repro.harness import ResultStore, run_sweep
-
-    jobs = _grid_jobs(args)
-    executor = FabricExecutor(
-        num_workers=args.workers,
-        queue_dir=args.queue,
-        lease_ttl=args.lease_ttl,
-        heartbeat_interval=args.heartbeat,
-        max_attempts=args.max_attempts,
-        timeout=args.timeout,
-    )
-    store = ResultStore(args.store) if args.store else None
-    with _traced(args, "cli.fabric"):
-        sweep = run_sweep(
-            jobs, executor=executor, store=store, progress=not args.quiet
-        )
-    _print_sweep(args, jobs, sweep)
-    coordinator = executor.coordinator
+    coordinator = getattr(executor, "coordinator", None)
     if coordinator is not None and (
         coordinator.requeues or coordinator.respawns or coordinator.inline_cells
     ):
@@ -534,6 +508,11 @@ def _cmd_fabric_run(args) -> int:
             f"{coordinator.respawns} workers respawned, "
             f"{coordinator.inline_cells} cells drained inline"
         )
+    if args.out:
+        from pathlib import Path
+
+        Path(args.out).write_text(json.dumps(sweep.as_dict(), indent=2) + "\n")
+        print(f"wrote {args.out}")
     return 0 if sweep.ok else 1
 
 
@@ -557,15 +536,11 @@ def _snapshot_grid(args) -> list:
 
 
 def _cmd_snapshot_build(args) -> int:
-    from repro.fabric import FabricExecutor, build_snapshot
-    from repro.harness import ResultStore, SerialExecutor, run_sweep
+    from repro.fabric import build_snapshot
+    from repro.harness import ResultStore, local_executor, run_sweep
 
     jobs = _snapshot_grid(args)
-    executor = (
-        FabricExecutor(num_workers=args.workers, queue_dir=args.queue)
-        if args.workers > 1
-        else SerialExecutor()
-    )
+    executor = local_executor(args.workers)
     store = ResultStore(args.store) if args.store else None
     with _traced(args, "cli.snapshot_build"):
         sweep = run_sweep(
@@ -645,32 +620,25 @@ def _cmd_loadtest(args) -> int:
     from repro.loadgen import resolve_mix, run_closed_loop, run_open_loop
 
     port = _PORT.coerce(args.port)
+    load = {
+        field.name: field.coerce(getattr(args, field.name))
+        for field in _LOAD_FIELDS
+        if getattr(args, field.name) is not None
+    }
     try:
         mix = resolve_mix(
             args.mix, size=args.mix_size, cold_fraction=args.cold_fraction
         )
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}") from None
-    if args.mode == "open" and args.rate is None:
+    if args.mode == "open" and "rate" not in load:
         raise SystemExit("error: --mode open requires --rate "
                          "(target offered requests/second)")
     if args.mode == "closed":
-        result = run_closed_loop(
-            args.host, port, mix,
-            connections=args.connections,
-            duration=args.duration,
-            seed=args.seed,
-            timeout=args.timeout,
-        )
+        load.pop("rate", None)
+        result = run_closed_loop(args.host, port, mix, seed=args.seed, **load)
     else:
-        result = run_open_loop(
-            args.host, port, mix,
-            rate=args.rate,
-            duration=args.duration,
-            connections=args.connections,
-            seed=args.seed,
-            timeout=args.timeout,
-        )
+        result = run_open_loop(args.host, port, mix, seed=args.seed, **load)
     if not result.answered:
         raise SystemExit(
             f"error: no request to {args.host}:{port} was answered "
@@ -787,13 +755,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser(
         "sweep",
-        help="run a cached (optionally parallel) parameter sweep",
+        help="run a parameter grid, resumable through --store",
         description=(
             "Expand a cartesian grid of job specs and run it through the "
-            "sweep harness (repro.harness): results are cached by content "
-            "hash when --store is given, and --workers > 1 fans cells out "
-            "over forked workers on the work-queue fabric (see 'repro "
-            "fabric') with bit-identical results. "
+            "sweep harness (repro.harness).  With --store DIR each cell is "
+            "cached by content hash as it settles: every cell whose "
+            "progress line printed is in the store, so rerunning an "
+            "interrupted sweep with the same store executes only the rest. "
+            "--workers N > 1 fans cells out over N forked workers on the "
+            "work-queue fabric (docs/FABRIC.md) with bit-identical results. "
             f"Registered job aliases: {', '.join(sorted(BUILTIN_JOBS))}; "
             "any 'module:callable' job function also works."
         ),
@@ -807,51 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--retries", type=int, default=1, help="retries per transient failure"
     )
-    sw.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted sweep from --store (skips settled "
-        "cells; reports how many were resumed)",
-    )
     _add_trace_flag(sw)
     sw.set_defaults(fn=_cmd_sweep)
-
-    fb = sub.add_parser(
-        "fabric",
-        help="run a sweep on the leased work-queue fabric",
-        description=(
-            "The fabric executes a sweep grid through a durable on-disk "
-            "work queue: a coordinator leases cells to forked worker "
-            "processes with heartbeats, re-queues cells whose worker "
-            "dies, and resumes from the same --queue directory after a "
-            "coordinator crash without recomputing settled cells. "
-            "Results are bit-identical to a serial sweep. "
-            "See docs/FABRIC.md."
-        ),
-    )
-    fbsub = fb.add_subparsers(dest="fabric_command", required=True)
-    fbr = fbsub.add_parser("run", help="run a grid through the fabric")
-    _add_grid_flags(fbr)
-    fbr.add_argument("--workers", type=int, default=4, help="worker processes")
-    fbr.add_argument(
-        "--queue", default=None, metavar="DIR",
-        help="durable queue directory (resumable across restarts; "
-        "default: ephemeral temp dir)",
-    )
-    fbr.add_argument(
-        "--lease-ttl", type=float, default=15.0, dest="lease_ttl",
-        help="seconds without a heartbeat before a lease is re-queued",
-    )
-    fbr.add_argument(
-        "--heartbeat", type=float, default=1.0,
-        help="worker heartbeat interval (seconds)",
-    )
-    fbr.add_argument(
-        "--max-attempts", type=int, default=3, dest="max_attempts",
-        help="attempts per cell before it fails terminally",
-    )
-    _add_trace_flag(fbr)
-    fbr.set_defaults(fn=_cmd_fabric_run)
 
     sn = sub.add_parser(
         "snapshot",
@@ -887,12 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fabric workers (1 = compute serially in-process)",
     )
     snb.add_argument(
-        "--queue", default=None, metavar="DIR",
-        help="durable fabric queue directory (resumable build)",
-    )
-    snb.add_argument(
         "--store", default=None, metavar="DIR",
-        help="result-store directory (reuses already-computed cells)",
+        help="result-store directory (reuses already-computed cells; an "
+        "interrupted build resumes from it)",
     )
     snb.add_argument("--quiet", action="store_true", help="no progress lines")
     _add_trace_flag(snb)
@@ -991,17 +915,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of requests with a fresh seed, forcing a full "
         "compute ('mixed' mix only)",
     )
-    lt.add_argument("--connections", type=int, default=4,
-                    help="concurrent keep-alive connections")
-    lt.add_argument("--rate", type=float, default=None,
-                    help="offered requests/second (open loop; required)")
-    lt.add_argument("--duration", type=float, default=5.0,
-                    help="measurement window in seconds")
+    for field in _LOAD_FIELDS:
+        _add_field(lt, field)
     lt.add_argument("--seed", type=int, default=0,
                     help="request-sequence seed (what gets sent is "
                     "deterministic given the mix and this seed)")
-    lt.add_argument("--timeout", type=float, default=30.0,
-                    help="per-request client timeout in seconds")
     lt.add_argument("--json", action="store_true",
                     help="machine-readable result record")
     lt.set_defaults(fn=_cmd_loadtest)
@@ -1042,6 +960,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
+    except KeyboardInterrupt:
+        # Ctrl-C: one line and the shell's 128 + SIGINT status.  A sweep
+        # has already stored every cell whose progress line printed.
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         # Input a schema rejects, a domain ValueError (a bad snapshot,
         # a spec the computation refuses) or a capability this host

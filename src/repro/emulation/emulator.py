@@ -29,7 +29,7 @@ from repro.obs import trace as obs
 from repro.routing.simulator import RoutingSimulator
 from repro.topologies.base import Machine
 from repro.topologies.registry import family_spec
-from repro.util import check_positive_int, rng_from_seed
+from repro.util import check_positive_int
 
 __all__ = ["EmulationReport", "Emulator", "emulate_job"]
 
@@ -98,7 +98,12 @@ class EmulationReport:
 
 
 class Emulator:
-    """Runs general-computation emulations of a guest on a host."""
+    """Runs general-computation emulations of a guest on a host.
+
+    The guest-to-host map and the routing are deterministic, so nothing
+    here draws random numbers; ``seed`` is accepted for callers that
+    still pass one and changes no result.
+    """
 
     def __init__(self, guest: Machine, host: Machine, seed: int | None = None):
         if host.num_nodes > guest.num_nodes:
@@ -108,7 +113,6 @@ class Emulator:
             )
         self.guest = guest
         self.host = host
-        self._rng = rng_from_seed(seed)
         self.assignment = self._balanced_locality_map()
 
     def _balanced_locality_map(self) -> np.ndarray:
@@ -196,10 +200,11 @@ def emulate_job(spec: dict) -> dict:
 
     Registered as the ``emulate`` alias in :mod:`repro.harness.jobs`:
     ``guest`` and ``host`` are required family keys; ``guest_size``
-    (256), ``host_size`` (64), ``steps`` (4), ``policy``
-    (``"farthest"``) and ``seed`` (0) are optional.  Returns
-    :meth:`EmulationReport.as_dict`; the spec is total, so the value is
-    deterministic and safe to cache by content hash.
+    (256), ``host_size`` (64), ``steps`` (4) and ``policy``
+    (``"farthest"``) are optional.  ``seed`` may be present (the
+    service's emulate schema fills it, so it is part of the job hash)
+    but changes no result.  Returns :meth:`EmulationReport.as_dict`; the
+    value is deterministic and safe to cache by content hash.
     """
     guest = family_spec(spec["guest"]).build_with_size(
         int(spec.get("guest_size", 256))
@@ -207,7 +212,7 @@ def emulate_job(spec: dict) -> dict:
     host = family_spec(spec["host"]).build_with_size(
         int(spec.get("host_size", 64))
     )
-    report = Emulator(guest, host, seed=int(spec.get("seed", 0))).run(
+    report = Emulator(guest, host).run(
         int(spec.get("steps", 4)), policy=spec.get("policy", "farthest")
     )
     return report.as_dict()

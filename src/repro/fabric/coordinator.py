@@ -16,12 +16,16 @@ Responsibilities per poll tick:
 * **reap dead workers** and respawn them while unsettled work remains
   (bounded by a respawn budget so a crash-looping job cannot fork-bomb);
 * **stream results** to the caller's ``on_result`` callback in
-  completion order, exactly like the in-process executors.
+  completion order, exactly like the in-process executors; each settled
+  cell's result file is read once, when it is streamed.
 
 Local workers are forked from the coordinator's process and run
 :func:`~repro.fabric.worker.worker_loop` -- the loop
 ``python -m repro.fabric.worker`` runs on another host against a shared
-queue directory -- so local and remote workers speak one protocol.
+queue directory -- so local and remote workers speak one protocol.  A
+forked worker ignores SIGINT (a terminal Ctrl-C reaches the whole
+process group, and the coordinator reports it) and stops claiming cells
+once the coordinator that forked it is gone.
 Forking skips the interpreter start, and each worker starts with its
 cells' job modules imported: :meth:`Coordinator.run` resolves every
 distinct job function before it forks, so the import is paid once here,
@@ -41,6 +45,7 @@ JSON output -- unchanged.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import shutil
 import tempfile
 import time
@@ -67,7 +72,6 @@ class Coordinator:
         num_workers: int = 4,
         config: QueueConfig | None = None,
         respawn_budget: int | None = None,
-        store: str | Path | None = None,
     ) -> None:
         if not isinstance(queue, WorkQueue):
             queue = WorkQueue(queue, config=config)
@@ -76,8 +80,9 @@ class Coordinator:
         self.respawn_budget = (
             self.num_workers if respawn_budget is None else int(respawn_budget)
         )
-        self.store = str(store) if store is not None else None
         self.workers: list[BaseProcess] = []
+        #: Every collected cell's result, by job hash (see :meth:`wait`).
+        self.results: dict[str, JobResult] = {}
         self._spawned = 0
         self.respawns = 0
         self.requeues = 0
@@ -115,7 +120,7 @@ class Coordinator:
         proc = multiprocessing.get_context("fork").Process(
             target=worker_loop,
             args=(str(self.queue.root),),
-            kwargs={"worker_id": worker_id, "store": self.store},
+            kwargs={"worker_id": worker_id, "parent_pid": os.getpid()},
             name=worker_id,
             daemon=True,
         )
@@ -159,29 +164,31 @@ class Coordinator:
 
     def wait(
         self,
-        jobs: Sequence[Job] | None = None,
+        jobs: Sequence[Job],
         on_result: Callable[[JobResult], None] | None = None,
         timeout: float | None = None,
     ) -> bool:
         """Poll until every cell settles (``True``) or ``timeout`` passes.
 
-        Results are streamed to ``on_result`` in completion order when
-        ``jobs`` is given.
+        Each cell of ``jobs`` is collected into :attr:`results` and
+        streamed to ``on_result`` once, in completion order, as it
+        settles.
         """
-        by_hash = {job.job_hash: job for job in (jobs or [])}
-        reported: set[str] = set()
+        by_hash = {job.job_hash: job for job in jobs}
         deadline = (
             None if timeout is None else time.monotonic() + float(timeout)
         )
         while True:
             self.tick()
-            if on_result is not None and by_hash:
-                for job_hash in self.queue.settled_hashes() - reported:
-                    reported.add(job_hash)
-                    job = by_hash.get(job_hash)
-                    if job is not None:
-                        on_result(self._collect_one(job))
-            if self.queue.unsettled() <= 0:
+            # One listing serves both the streaming and the exit test, so
+            # a cell that settles in between is streamed on the next pass
+            # rather than never.
+            settled = self.queue.settled_hashes()
+            for job_hash in settled.intersection(by_hash).difference(self.results):
+                result = self.results[job_hash] = self._collect_one(by_hash[job_hash])
+                if on_result is not None:
+                    on_result(result)
+            if self.queue.unsettled(settled) <= 0:
                 return True
             if not self.workers and self.respawns >= self.respawn_budget:
                 self._drain_inline(deadline)
@@ -223,16 +230,22 @@ class Coordinator:
             self.enqueue(jobs)
             self.queue.seal()
             unsettled = self.queue.unsettled()
-            if unsettled > 0:
-                preload_jobs(job.fn for job in jobs)
-                self.spawn(min(self.num_workers, unsettled))
-            self.wait(jobs, on_result=on_result)
+            try:
+                if unsettled > 0:
+                    preload_jobs(job.fn for job in jobs)
+                    self.spawn(min(self.num_workers, unsettled))
+                self.wait(jobs, on_result=on_result)
+            except BaseException:
+                # Interrupted (Ctrl-C, or on_result raised): no drain is
+                # coming, so stop the workers now, then re-raise.
+                self.shutdown(timeout=0.0)
+                raise
             self.shutdown()
             sp.set(
                 requeues=self.requeues, respawns=self.respawns,
                 inline=self.inline_cells,
             )
-        return [self._collect_one(job) for job in jobs]
+        return [self.results[job.job_hash] for job in jobs]
 
     # -- internals -----------------------------------------------------------
 
@@ -249,7 +262,7 @@ class Coordinator:
                 time.sleep(self.queue.config.poll_interval)
                 continue
             self.inline_cells += 1
-            _execute_lease(self.queue, lease, None)
+            _execute_lease(self.queue, lease)
 
     def _collect_one(self, job: Job) -> JobResult:
         """Build the harness-shaped :class:`JobResult` for one cell."""

@@ -200,10 +200,7 @@ class WorkQueue:
         the scan at a worker-dependent rotation so N workers racing an
         empty-ish queue do not all fight over the same first file.
         """
-        try:
-            names = sorted(os.listdir(self.pending_dir))
-        except FileNotFoundError:  # pragma: no cover - root deleted under us
-            return None
+        names = sorted(self._names(self.pending_dir))
         if not names:
             return None
         start = zlib.crc32(worker.encode("utf-8")) % len(names)
@@ -352,10 +349,14 @@ class WorkQueue:
 
     @staticmethod
     def _names(directory: Path) -> list[str]:
+        """The cell files in ``directory``.  A writer killed inside
+        :func:`_write_atomic` leaves its ``.tmp`` file behind; that is no
+        cell, and counting it would end a drain early."""
         try:
-            return os.listdir(directory)
+            names = os.listdir(directory)
         except FileNotFoundError:  # pragma: no cover - root deleted under us
             return []
+        return [name for name in names if not name.endswith(".tmp")]
 
     def counts(self) -> dict[str, int]:
         """Cell counts per state (one directory listing each)."""
@@ -373,9 +374,15 @@ class WorkQueue:
         done |= {n[: -len(".json")] for n in self._names(self.failed_dir)}
         return done
 
-    def unsettled(self) -> int:
-        """How many enqueued cells still lack a result or failure."""
-        return len(self._names(self.jobs_dir)) - len(self.settled_hashes())
+    def unsettled(self, settled: set[str] | None = None) -> int:
+        """How many enqueued cells still lack a result or failure.
+
+        ``settled`` is a :meth:`settled_hashes` listing the caller
+        already holds; by default a fresh one is taken.
+        """
+        if settled is None:
+            settled = self.settled_hashes()
+        return len(self._names(self.jobs_dir)) - len(settled)
 
     def drained(self) -> bool:
         """Whether a worker may exit: sealed and every cell settled."""

@@ -10,10 +10,8 @@ lease, which expires and is re-leased.  All it does::
         run the pure job function (same SIGALRM deadline as the harness)
         complete / release(transient) / fail(deterministic)
 
-Results may additionally be written straight into a shared
-:class:`~repro.harness.store.ResultStore` (``--store``), which is how a
-fabric sweep doubles as a catalog precompute: the service reads the
-same store.
+Results land in the queue only; the sweep that drives the queue puts
+them into its result store as the coordinator streams them.
 
 Runnable standalone -- ``python -m repro.fabric.worker QUEUE_DIR`` --
 so the protocol stays host-agnostic: the coordinator forks its local
@@ -25,12 +23,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import socket
 import threading
 import time
 
 from repro.harness.executors import _execute_job, _is_timeout
-from repro.harness.store import ResultStore
 from repro.obs import trace as obs
 
 from repro.fabric.queue import Lease, WorkQueue
@@ -67,7 +65,7 @@ class _HeartbeatThread(threading.Thread):
         self.join(timeout=2.0)
 
 
-def _execute_lease(queue: WorkQueue, lease: Lease, store: ResultStore | None) -> str:
+def _execute_lease(queue: WorkQueue, lease: Lease) -> str:
     """Run one leased cell to a settled (or re-queued) state.
 
     Returns the disposition: ``done``, ``requeued``, ``failed``, or
@@ -93,8 +91,6 @@ def _execute_lease(queue: WorkQueue, lease: Lease, store: ResultStore | None) ->
     if status == "transient" and _is_timeout(payload):
         lease.timeouts += 1
     if status == "ok":
-        if store is not None:
-            store.put(job, payload, seconds=seconds)
         queue.complete(lease, payload, seconds=seconds)
         obs.event(
             "fabric.complete", hash=lease.job_hash[:12],
@@ -119,20 +115,28 @@ def _execute_lease(queue: WorkQueue, lease: Lease, store: ResultStore | None) ->
 def worker_loop(
     queue_dir: str,
     worker_id: str | None = None,
-    store: str | None = None,
     max_jobs: int | None = None,
+    parent_pid: int | None = None,
 ) -> int:
     """Process cells from ``queue_dir`` until it drains; returns the count.
 
     ``max_jobs`` bounds how many cells this worker settles (used by
     tests to stage partial progress); ``None`` means run to drain.
+    ``parent_pid`` is set by the coordinator that forks this worker: the
+    worker then ignores SIGINT, because a terminal Ctrl-C reaches the
+    whole process group and the coordinator reports it, and it stops
+    claiming once that process is gone, so a killed coordinator leaves
+    no worker draining a queue nobody reads.
     """
+    if parent_pid is not None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
     queue = WorkQueue(queue_dir)
     me = worker_id or _default_worker_id()
-    result_store = ResultStore(store) if store else None
     handled = 0
     obs.event("fabric.worker_started", worker=me)
     while max_jobs is None or handled < max_jobs:
+        if parent_pid is not None and os.getppid() != parent_pid:
+            break
         lease = queue.claim(me)
         if lease is None:
             if queue.drained():
@@ -143,7 +147,7 @@ def worker_loop(
             "fabric.lease", hash=lease.job_hash[:12], worker=me,
             attempt=lease.attempts,
         )
-        _execute_lease(queue, lease, result_store)
+        _execute_lease(queue, lease)
         handled += 1
     obs.event("fabric.worker_drained", worker=me, handled=handled)
     return handled
@@ -160,20 +164,11 @@ def main(argv: list[str] | None = None) -> int:
         help="stable identity for lease/heartbeat records (default host-pid)",
     )
     ap.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="also write results into this harness ResultStore",
-    )
-    ap.add_argument(
         "--max-jobs", type=int, default=None,
         help="exit after settling this many cells (default: run to drain)",
     )
     args = ap.parse_args(argv)
-    worker_loop(
-        args.queue_dir,
-        worker_id=args.worker_id,
-        store=args.store,
-        max_jobs=args.max_jobs,
-    )
+    worker_loop(args.queue_dir, worker_id=args.worker_id, max_jobs=args.max_jobs)
     return 0
 
 

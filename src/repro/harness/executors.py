@@ -17,7 +17,10 @@ fail the same way.
 
 Failures are captured per-job on :class:`JobResult.error`; ``run`` never
 raises for a failing job, so one bad cell cannot abort a 1000-cell
-sweep.
+sweep.  ``run(jobs, on_result)`` passes each result to ``on_result``
+once, as soon as the job settles: that is where
+:func:`~repro.harness.sweep.run_sweep` stores it, so a sweep stopped part
+way has stored every cell it reported.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@
 product of jobs -- one per cell, each with a complete spec (and hence a
 content hash).  :func:`run_sweep` is the funnel every consumer goes
 through: look each job up in the result store, execute only the misses
-on the chosen executor, persist fresh results, and return a
-:class:`SweepResult` in grid order.
+on the chosen executor, persist each fresh result as the executor
+reports it, and return a :class:`SweepResult` in grid order.  The store
+is the only resume mechanism: rerunning an interrupted sweep against the
+same store serves every cell that settled before the interruption.
 
 Determinism contract: for the same job list, ``run_sweep`` returns the
 same values no matter the executor, the worker count, or how many cells
@@ -140,17 +142,6 @@ class SweepResult:
         return sum(1 for r in self.results if r.cached)
 
     @property
-    def num_resumed(self) -> int:
-        """Cells resumed from the result store instead of re-executed.
-
-        Today every cached cell is a resumed cell (the store is the only
-        pre-execution tier a sweep consults), so this aliases
-        :attr:`num_cached` under the name the resume workflow reports
-        (``repro sweep --resume``).
-        """
-        return self.num_cached
-
-    @property
     def num_failed(self) -> int:
         return sum(1 for r in self.results if not r.ok)
 
@@ -197,7 +188,6 @@ class SweepResult:
             "wall_seconds": round(self.wall_seconds, 4),
             "num_jobs": len(self.results),
             "num_cached": self.num_cached,
-            "num_resumed": self.num_resumed,
             "num_failed": self.num_failed,
             "num_retries": self.num_retries,
             "num_timeouts": self.num_timeouts,
@@ -231,9 +221,11 @@ def run_sweep(
 
     Cache hits never execute; misses run on ``executor`` (default
     serial; also accepts ``"serial"``/``"parallel"``/``"fabric"`` by
-    name, see :func:`resolve_executor`) and successful fresh results
-    are persisted.  The returned results are in job order regardless
-    of completion order.
+    name, see :func:`resolve_executor`).  Each successful fresh result
+    is persisted the moment the executor reports it, before ``progress``
+    sees it, so every cell whose progress line printed is in the store
+    and a rerun of an interrupted sweep executes only the rest.  The
+    returned results are in job order regardless of completion order.
     """
     jobs = list(jobs)
     executor = resolve_executor(executor)
@@ -242,6 +234,12 @@ def run_sweep(
         if progress is True
         else (progress if callable(progress) else None)
     )
+
+    def settle(result: JobResult) -> None:
+        if store is not None and result.ok:
+            store.put(result.job, result.value, seconds=result.seconds)
+        if on_result is not None:
+            on_result(result)
 
     t0 = time.perf_counter()
     with obs.span(
@@ -268,11 +266,9 @@ def run_sweep(
             pending.append(i)
 
         if pending:
-            fresh = executor.run([jobs[i] for i in pending], on_result=on_result)
+            fresh = executor.run([jobs[i] for i in pending], on_result=settle)
             for i, result in zip(pending, fresh):
                 results[i] = result
-                if store is not None and result.ok:
-                    store.put(result.job, result.value, seconds=result.seconds)
 
         sweep = SweepResult(
             results=results,  # type: ignore[arg-type]

@@ -26,7 +26,7 @@ exception onto the same envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.routing.engine_names import DEFAULT_ENGINE, ENGINES
@@ -429,7 +429,9 @@ OPERATIONS: dict[str, Operation] = {
                       help="host machine size (at most the guest size)"),
                 Field("steps", "int", default=4, minimum=1, maximum=256,
                       help="guest steps to emulate"),
-                _SEED,
+                replace(_SEED, help="kept for job-hash compatibility; the "
+                        "emulation is deterministic and its result does not "
+                        "depend on the seed"),
                 check=_host_fits_guest,
             ),
             lambda params: _job("emulate", params),

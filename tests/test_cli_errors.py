@@ -84,6 +84,30 @@ def test_bad_input_is_one_error_line(argv, request_, tmp_path):
         assert message == "error: " + payload["error"]["message"]
 
 
+LOADTEST_BOUNDS = [
+    (["--duration", "-1"], "duration"),
+    (["--duration", "nan"], "duration"),
+    (["--timeout", "0"], "timeout"),
+    (["--connections", "0"], "connections"),
+    (["--mode", "open", "--rate", "0"], "rate"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, name", LOADTEST_BOUNDS, ids=[" ".join(f) for f, _ in LOADTEST_BOUNDS]
+)
+def test_loadtest_bounds_name_the_flag(flags, name):
+    """Each used to run and end in "no request ... was answered" (a zero
+    timeout is a non-blocking socket; a window that is not positive
+    sends nothing).  Port 1 answers nothing, so only a message that
+    names the flag shows the bound was checked first."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["loadtest", "--port", "1", *flags])
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"error: parameter {name!r} must be in ")
+
+
 def _assert_clean_family_error(argv: list[str]) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -360,12 +384,3 @@ def test_serve_on_a_busy_port_is_one_error_line(workers):
     assert isinstance(message, str) and "\n" not in message
     assert message.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
 
-
-class TestSweepResumeErrors:
-    def test_resume_without_store_is_a_clean_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "measure_bandwidth", "--families", "ring",
-                  "--sizes", "16", "--resume"])
-        message = str(excinfo.value)
-        assert "--resume needs --store" in message
-        assert "Traceback" not in message

@@ -203,6 +203,25 @@ class TestWorkQueue:
         reopened = WorkQueue(tmp_path / "q")  # a worker, config-less
         assert reopened.config == config
 
+    def test_leftover_temp_files_are_not_cells(self, tmp_path):
+        """A writer killed inside an atomic write leaves its ``.tmp``
+        file; counting it would end a drain early or claim a non-cell."""
+        queue = WorkQueue(tmp_path / "q")
+        job = _grid(1)[0]
+        queue.add(job)
+        queue.seal()
+        for directory in (queue.jobs_dir, queue.pending_dir, queue.results_dir):
+            (directory / "tmpk3x9z1q0.tmp").write_text("{")
+        assert queue.counts() == {
+            "jobs": 1, "pending": 1, "leased": 0, "done": 0, "failed": 0,
+        }
+        lease = queue.claim("w1")
+        assert lease.job_hash == job.job_hash
+        assert queue.claim("w2") is None
+        assert not queue.drained()
+        queue.complete(lease, {"v": 1})
+        assert queue.drained()
+
     def test_drained_requires_seal(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         assert not queue.drained()  # nothing enqueued, but not sealed
@@ -237,11 +256,30 @@ class TestFabricSweep:
         store = ResultStore(tmp_path / "store")
         first = run_sweep(jobs, executor=FabricExecutor(num_workers=2),
                           store=store)
-        assert first.ok and first.num_resumed == 0
+        assert first.ok and first.num_cached == 0
         second = run_sweep(jobs, executor=FabricExecutor(num_workers=2),
                            store=store)
-        assert second.ok and second.num_resumed == len(jobs)
+        assert second.ok and second.num_cached == len(jobs)
         assert canonical_json(second.values) == canonical_json(first.values)
+
+    def test_each_result_is_read_once_and_streamed_once(self, monkeypatch):
+        reads = []
+        read = WorkQueue.result
+
+        def counted(queue, job_hash):
+            reads.append(job_hash)
+            return read(queue, job_hash)
+
+        monkeypatch.setattr(WorkQueue, "result", counted)
+        jobs = _grid(20)
+        streamed = []
+        results = FabricExecutor(num_workers=2).run(jobs, on_result=streamed.append)
+        hashes = sorted(job.job_hash for job in jobs)
+        assert sorted(reads) == hashes
+        assert sorted(r.job.job_hash for r in streamed) == hashes
+        assert [r.job for r in results] == jobs
+        by_hash = {r.job.job_hash: r for r in streamed}
+        assert all(by_hash[r.job.job_hash] is r for r in results)
 
     def test_transient_failure_retries_to_success(self, tmp_path):
         jobs = [

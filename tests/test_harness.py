@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -64,10 +69,33 @@ def sleepy_job(spec: dict) -> dict:
     return {"slept": spec["seconds"]}
 
 
+#: ``interrupting_job`` raises KeyboardInterrupt on call number "at".
+INTERRUPT = {"at": 0, "calls": 0}
+
+
+def interrupting_job(spec: dict) -> dict:
+    """``measure_bandwidth``, except that one call is a Ctrl-C."""
+    INTERRUPT["calls"] += 1
+    if INTERRUPT["calls"] == INTERRUPT["at"]:
+        raise KeyboardInterrupt
+    return resolve_job("measure_bandwidth")(spec)
+
+
+def paced_job(spec: dict) -> dict:
+    """``measure_bandwidth`` after ``pause`` seconds, so a sweep of it
+    can be stopped part way."""
+    time.sleep(spec["pause"])
+    return resolve_job("measure_bandwidth")(
+        {k: v for k, v in spec.items() if k != "pause"}
+    )
+
+
 COUNTING = "tests.test_harness:counting_job"
 FAILING = "tests.test_harness:failing_job"
 FLAKY = "tests.test_harness:flaky_job"
 SLEEPY = "tests.test_harness:sleepy_job"
+INTERRUPTING = "tests.test_harness:interrupting_job"
+PACED = "tests.test_harness:paced_job"
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +401,186 @@ class TestSweepFrontEnd:
         assert cell["worker"].startswith("fabric:")
         assert cell["attempts"] == retries + 1
         assert (cell["error"] is None) == ok
+
+
+# ---------------------------------------------------------------------------
+# Interrupted sweeps resume from the store alone
+
+#: The grid both interrupted sweeps run, as CLI flags and as axes.
+GRID_FLAGS = ["--families", "linear_array", "tree", "--sizes", "16", "32",
+              "--seeds", "3"]
+GRID_AXES = {"family": ["linear_array", "tree"], "size": [16, 32],
+             "seed": [0, 1, 2]}
+
+
+def _serial_values() -> str:
+    """The grid's values from an uninterrupted in-process sweep."""
+    sweep = run_sweep(expand_grid("measure_bandwidth", GRID_AXES))
+    assert sweep.ok
+    return canonical_json(sweep.values)
+
+
+def _rerun(fn: str, store: Path, out: Path, extra: list[str]) -> dict:
+    """Rerun the grid against ``store``; returns the ``--out`` record."""
+    code = main(["sweep", fn, *GRID_FLAGS, *extra, "--store", str(store),
+                 "--quiet", "--out", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def _subprocess_env(tmp_path: Path) -> dict:
+    """This interpreter's import path (so ``tests.*`` jobs resolve) and
+    a private TMPDIR for the ephemeral fabric queue."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+        TMPDIR=str(scratch),
+    )
+
+
+def _children(pid: int) -> list[int]:
+    """Live processes whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _stat(int(entry))[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+def _stat(pid: int) -> tuple[str, int]:
+    """``(state, ppid)`` of ``pid``; ``("X", 0)`` once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return "X", 0
+    fields = text.rpartition(")")[2].split()
+    return fields[0], int(fields[1])
+
+
+def _read_progress(proc: subprocess.Popen, count: int) -> list[str]:
+    """The first ``count`` progress lines ``proc`` writes to stderr."""
+    lines = []
+    while len(lines) < count:
+        line = proc.stderr.readline()
+        assert line, f"sweep ended after {lines!r}"
+        if line.startswith("["):
+            lines.append(line)
+    return lines
+
+
+def _sweep_killed_after(argv: list[str], lines: int, tmp_path: Path):
+    """Run ``repro sweep`` and SIGKILL it once it has printed ``lines``
+    progress lines.  Returns those lines and the pids of its workers."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=_subprocess_env(tmp_path),
+    )
+    try:
+        printed = _read_progress(proc, lines)
+        workers = _children(proc.pid)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stderr.close()
+    return printed, workers
+
+
+def _lingering(pids: list[int], seconds: float) -> list[int]:
+    """The ``pids`` still running after ``seconds``; they are killed."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if all(_stat(pid)[0] in "XZ" for pid in pids):
+            return []
+        time.sleep(0.05)
+    left = [pid for pid in pids if _stat(pid)[0] not in "XZ"]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    return left
+
+
+class TestInterruptedSweep:
+    def test_serial_ctrl_c_keeps_settled_cells(self, tmp_path, capsys, monkeypatch):
+        """The 4th cell is a Ctrl-C: ``main`` prints one line and exits
+        130, the 3 cells before it are in the store, and the rerun
+        serves them and matches an uninterrupted sweep bit for bit."""
+        store = tmp_path / "store"
+        monkeypatch.setitem(INTERRUPT, "at", 4)
+        monkeypatch.setitem(INTERRUPT, "calls", 0)
+        try:
+            code = main(["sweep", INTERRUPTING, *GRID_FLAGS, "--store", str(store)])
+        except KeyboardInterrupt:
+            pytest.fail("the Ctrl-C escaped main")
+        assert code == 130
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: interrupted"
+        assert [line[:6] for line in err[:-1]] == ["[ 1/12", "[ 2/12", "[ 3/12"]
+        assert len(ResultStore(store)) == 3
+
+        monkeypatch.setitem(INTERRUPT, "at", 0)
+        record = _rerun(INTERRUPTING, store, tmp_path / "rerun.json", [])
+        assert record["num_cached"] == 3
+        assert [r["cached"] for r in record["results"][:4]] == [True] * 3 + [False]
+        values = [r["value"] for r in record["results"]]
+        assert canonical_json(values) == _serial_values()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_killed_fabric_sweep_keeps_settled_cells(self, tmp_path):
+        """SIGKILL a ``--workers 2`` sweep after its 3rd progress line:
+        every cell that printed is in the store, and the rerun serves
+        them and matches an uninterrupted serial sweep bit for bit."""
+        store = tmp_path / "store"
+        pace = ["--set", "pause=0.2", "--workers", "2"]
+        printed, workers = _sweep_killed_after(
+            [PACED, *GRID_FLAGS, *pace, "--store", str(store)], 3, tmp_path
+        )
+        assert not _lingering(workers, 5.0), "workers outlived their coordinator"
+        jobs = {
+            job.label(): job
+            for job in expand_grid(PACED, GRID_AXES, {"pause": 0.2})
+        }
+        stored = ResultStore(store)
+        for line in printed:
+            label = line.split("] ", 1)[1].rsplit("  ", 1)[0]
+            assert stored.get(jobs[label])[0], f"{label} printed, not stored"
+        assert len(stored) < len(jobs), "the sweep finished before the kill"
+
+        record = _rerun(PACED, store, tmp_path / "rerun.json", pace)
+        assert record["num_cached"] >= len(printed)
+        values = [r["value"] for r in record["results"]]
+        assert canonical_json(values) == _serial_values()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_stop_when_the_coordinator_dies(self, tmp_path):
+        """Killed after its first 1-second cell, with ~7 s of cells left,
+        the coordinator's two workers finish the cell they hold and
+        exit instead of draining a queue nobody reads."""
+        _, workers = _sweep_killed_after(
+            [SLEEPY, "--axis", "i=" + ",".join(map(str, range(16))),
+             "--set", "seconds=1", "--workers", "2"], 1, tmp_path,
+        )
+        assert len(workers) == 2
+        assert not _lingering(workers, 5.0), "workers outlived their coordinator"
+
+    def test_ctrl_c_on_a_fabric_sweep_prints_one_line(self, tmp_path):
+        """A terminal Ctrl-C signals the whole process group: the forked
+        workers ignore it, the coordinator stops them and ``main`` prints
+        one line, with no worker tracebacks."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", PACED, *GRID_FLAGS,
+             "--set", "pause=0.2", "--workers", "2"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=_subprocess_env(tmp_path), start_new_session=True,
+        )
+        try:
+            _read_progress(proc, 1)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        rest = [line for line in err.splitlines() if not line.startswith("[")]
+        assert rest == ["error: interrupted"], err
+        assert not any((tmp_path / "tmp").iterdir()), "queue left behind"
