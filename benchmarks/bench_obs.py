@@ -14,9 +14,10 @@ sub-2% effect on a noisy CI box, so the bound is **derived** instead:
    events, and counter updates;
 3. overhead = (hook calls x per-call cost) / untraced runtime.
 
-That ratio is asserted < 2% and written to ``BENCH_obs.json`` together
-with an informational enabled-vs-disabled A/B (the price of turning
-tracing *on*, which is allowed to be visible).
+That ratio is asserted < 2% on every run.  Only the ``slow``-marked
+run rewrites ``BENCH_obs.json``, together with an informational
+enabled-vs-disabled A/B (the price of turning tracing *on*, which is
+allowed to be visible), so the fast subset leaves the checkout clean.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import statistics
 import time
 import timeit
 from pathlib import Path
+
+import pytest
 
 from conftest import emit
 from repro.obs import MemorySink, build_report
@@ -95,8 +98,8 @@ def _count_hook_calls() -> dict[str, int]:
     }
 
 
-def test_disabled_tracer_overhead_under_two_percent():
-    """The permanent instrumentation costs < 2% with tracing off."""
+def _overhead_record() -> dict:
+    """Measure the disabled-hook overhead; the record BENCH_obs.json holds."""
     hook_ns = _noop_hook_ns()
     hooks = _count_hook_calls()
     assert not obs.enabled()
@@ -114,7 +117,7 @@ def test_disabled_tracer_overhead_under_two_percent():
     ) * 1e-9
     overhead = hook_cost_s / disabled_s
 
-    record = {
+    return {
         "workload": {
             "family": FAMILY,
             "size": SIZE,
@@ -129,8 +132,25 @@ def test_disabled_tracer_overhead_under_two_percent():
         "enabled_slowdown_x": round(enabled_s / disabled_s, 3),
         "bound": MAX_DISABLED_OVERHEAD,
     }
-    _JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
+
+def test_disabled_tracer_overhead_under_two_percent():
+    """The permanent instrumentation costs < 2% with tracing off."""
+    record = _overhead_record()
+    assert record["derived_disabled_overhead"] < MAX_DISABLED_OVERHEAD, record
+
+
+@pytest.mark.slow
+def test_record_disabled_tracer_overhead():
+    """Re-record BENCH_obs.json (slow subset only: it rewrites a
+    tracked file)."""
+    record = _overhead_record()
+    _JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    hook_ns = record["noop_hook_ns"]
+    hooks = record["hook_calls_per_run"]
+    disabled_s = record["disabled_median_s"]
+    enabled_s = record["enabled_median_s"]
+    overhead = record["derived_disabled_overhead"]
     emit(
         format_table(
             ["quantity", "value"],

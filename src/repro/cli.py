@@ -46,7 +46,7 @@ import json
 import sys
 import time
 
-from repro.operations import OPERATIONS, Field, catalog_jobs, client_error
+from repro.operations import MAX_MACHINE_SIZE, OPERATIONS, Field, catalog_jobs, client_error
 from repro.topologies import all_family_keys, family_spec
 from repro.util import format_table
 
@@ -75,6 +75,13 @@ _LOAD_FIELDS = (
           help="measurement window in seconds"),
     Field("timeout", "float", default=30.0, minimum=0.01, maximum=3600.0,
           help="per-request client timeout in seconds"),
+)
+
+#: ``loadtest --mix-size``: the bandwidth schema's size bounds, outside
+#: which every request of the mix would come back 422.
+_MIX_SIZE = Field(
+    "mix_size", "int", minimum=2, maximum=MAX_MACHINE_SIZE,
+    help="machine size the mix queries (mix-dependent; default 64)",
 )
 
 
@@ -620,6 +627,7 @@ def _cmd_loadtest(args) -> int:
     from repro.loadgen import resolve_mix, run_closed_loop, run_open_loop
 
     port = _PORT.coerce(args.port)
+    mix_size = None if args.mix_size is None else _MIX_SIZE.coerce(args.mix_size)
     load = {
         field.name: field.coerce(getattr(args, field.name))
         for field in _LOAD_FIELDS
@@ -627,7 +635,7 @@ def _cmd_loadtest(args) -> int:
     }
     try:
         mix = resolve_mix(
-            args.mix, size=args.mix_size, cold_fraction=args.cold_fraction
+            args.mix, size=mix_size, cold_fraction=args.cold_fraction
         )
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}") from None
@@ -863,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--workers", type=int, default=1,
         help="worker *processes*; >1 starts the pre-fork tier (a master "
-        "binds the port once, workers share it via SO_REUSEPORT or an "
-        "inherited descriptor; see docs/SERVICE.md)",
+        "reserves the port, workers share it via SO_REUSEPORT; see "
+        "docs/SERVICE.md)",
     )
     sv.add_argument(
         "--drain-timeout", type=float, default=10.0, dest="drain_timeout",
@@ -873,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--metrics-dir", default=None, metavar="DIR", dest="metrics_dir",
         help="directory for per-worker metrics files in prefork mode "
-        "(default: a fresh temp dir; ignored with --workers 1)",
+        "(default: a temp dir removed at exit; ignored with --workers 1)",
     )
     sv.add_argument("--verbose", action="store_true", help="access logging")
     sv.add_argument(
@@ -906,10 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="request mix from the loadgen registry "
         "(warm_bandwidth, mixed, health)",
     )
-    lt.add_argument(
-        "--mix-size", type=int, default=None, dest="mix_size",
-        help="machine size the mix queries (mix-dependent; default 64)",
-    )
+    _add_field(lt, _MIX_SIZE)
     lt.add_argument(
         "--cold-fraction", type=float, default=None, dest="cold_fraction",
         help="fraction of requests with a fresh seed, forcing a full "

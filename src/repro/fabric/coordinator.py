@@ -44,6 +44,7 @@ JSON output -- unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import shutil
@@ -290,11 +291,43 @@ class Coordinator:
         )
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # another user's process
+    return True
+
+
+def _remove_orphaned_queues() -> None:
+    """Remove the ephemeral queues of coordinators that are gone.
+
+    An ephemeral queue is named ``repro-fabric-<pid>-*`` after the
+    process that made it, which removes it when the run ends; a
+    coordinator killed outright (SIGKILL runs no ``finally``) leaves
+    it behind.  A queue whose process is still alive is never touched,
+    nor one holding a live lease: the killed coordinator's workers
+    finish the cell they hold before they exit.
+    """
+    for path in Path(tempfile.gettempdir()).glob("repro-fabric-*-*"):
+        pid = path.name.split("-")[2]
+        if not pid.isdigit() or _alive(int(pid)):
+            continue
+        with contextlib.suppress(OSError):  # e.g. another run removed it first
+            queue = WorkQueue(path)
+            queue.expire_stale()
+            if queue.counts()["leased"] == 0:
+                shutil.rmtree(path)
+
+
 class FabricExecutor:
     """Executor-protocol adapter: fabric sweeps through ``run_sweep``.
 
     With no ``queue_dir`` the queue is ephemeral (a temp directory,
-    removed afterwards).  Point ``queue_dir`` at a stable path to make
+    removed afterwards, or by the next ephemeral run if this process
+    is killed first).  Point ``queue_dir`` at a stable path to make
     the sweep resumable across coordinator crashes -- re-running the
     same grid against the same queue continues instead of restarting.
     """
@@ -342,11 +375,11 @@ class FabricExecutor:
         if not jobs:
             return []
         ephemeral = self.queue_dir is None
-        root = (
-            Path(tempfile.mkdtemp(prefix="repro-fabric-"))
-            if ephemeral
-            else self.queue_dir
-        )
+        if ephemeral:
+            _remove_orphaned_queues()
+            root = Path(tempfile.mkdtemp(prefix=f"repro-fabric-{os.getpid()}-"))
+        else:
+            root = self.queue_dir
         self.coordinator = Coordinator(
             WorkQueue(root, config=self.config),
             num_workers=self.num_workers,

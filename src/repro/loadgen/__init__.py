@@ -1,11 +1,12 @@
-"""Load generation for the query service: drivers, mixes, reservoirs.
+"""Load generation for the query service: drivers, mixes, histograms.
 
 The subsystem that turns "the service did N rps once" into a measured
 latency/throughput frontier:
 
-* :mod:`repro.loadgen.stats` -- :class:`LatencyReservoir`, a bounded
-  uniform sample over a latency stream (Algorithm R), shared with the
-  service's own ``/metrics`` percentiles;
+* :mod:`repro.loadgen.stats` -- :class:`LatencyHistogram`, a fixed
+  log-bucketed histogram over a latency stream (exact counts, each
+  percentile at most 1% high, merged by adding buckets), shared with
+  the service's own ``/metrics`` percentiles;
 * :mod:`repro.loadgen.mix` -- named, parameterized request mixes
   (endpoint weights + warm/cold ratio) in a small registry;
 * :mod:`repro.loadgen.drivers` -- a **closed-loop** driver (K
@@ -21,10 +22,10 @@ CLI: ``python -m repro loadtest``; frontier artifact:
 
 from repro.loadgen.drivers import LoadResult, run_closed_loop, run_open_loop
 from repro.loadgen.mix import MIXES, RequestMix, RequestSpec, resolve_mix
-from repro.loadgen.stats import LatencyReservoir, percentile, summarize_ms
+from repro.loadgen.stats import LatencyHistogram, percentile
 
 __all__ = [
-    "LatencyReservoir",
+    "LatencyHistogram",
     "LoadResult",
     "MIXES",
     "RequestMix",
@@ -33,5 +34,4 @@ __all__ = [
     "resolve_mix",
     "run_closed_loop",
     "run_open_loop",
-    "summarize_ms",
 ]

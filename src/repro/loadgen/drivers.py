@@ -21,7 +21,7 @@ Two driver shapes, because they answer different questions:
   (cf. the HdrHistogram / wrk2 discussions of the same pitfall.)
 
 Both drivers share :class:`~repro.loadgen.mix.RequestMix` for what to
-send and :class:`~repro.loadgen.stats.LatencyReservoir` for bounded
+send and :class:`~repro.loadgen.stats.LatencyHistogram` for bounded
 latency memory, and both are deterministic in *what* they send given a
 seed (timing, of course, is the system under test).
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.loadgen.mix import RequestMix
-from repro.loadgen.stats import LatencyReservoir
+from repro.loadgen.stats import LatencyHistogram
 
 __all__ = ["LoadResult", "run_closed_loop", "run_open_loop"]
 
@@ -172,15 +172,13 @@ def run_closed_loop(
     seed: int = 0,
     timeout: float = 30.0,
     prime: bool = True,
-    reservoir_capacity: int = 8192,
 ) -> LoadResult:
     """``connections`` workers issue back-to-back requests for ``duration``."""
     if connections < 1:
         raise ValueError(f"connections must be >= 1, got {connections}")
     if prime:
         _prime(host, port, mix, timeout)
-    reservoir = LatencyReservoir(reservoir_capacity,
-                                 rng=random.Random(seed ^ 0x5EED))
+    latency = LatencyHistogram()
     tally = _Tally()
     start = time.perf_counter()
     deadline = start + duration
@@ -194,7 +192,7 @@ def run_closed_loop(
                 t0 = time.perf_counter()
                 status, ok = client.request(method, path, body)
                 if ok:
-                    reservoir.observe(time.perf_counter() - t0)
+                    latency.observe(time.perf_counter() - t0)
                 tally.record(status, ok)
         finally:
             client.close()
@@ -216,7 +214,7 @@ def run_closed_loop(
         errors=tally.errors,
         wall_seconds=wall,
         achieved_rps=tally.answered / wall if wall > 0 else 0.0,
-        latency_ms=reservoir.summary_ms(),
+        latency_ms=latency.summary_ms(),
         status_counts=tally.status_counts,
     )
 
@@ -232,7 +230,6 @@ def run_open_loop(
     timeout: float = 30.0,
     prime: bool = True,
     max_overrun: float = 30.0,
-    reservoir_capacity: int = 8192,
 ) -> LoadResult:
     """Poisson arrivals at ``rate``/s; latency runs from *scheduled* send.
 
@@ -266,12 +263,9 @@ def run_open_loop(
         _prime(host, port, mix, timeout)
     requests = [mix.sample(rng) for _ in arrivals]
 
-    latency = LatencyReservoir(reservoir_capacity,
-                               rng=random.Random(seed ^ 0x5EED))
-    service = LatencyReservoir(reservoir_capacity,
-                               rng=random.Random(seed ^ 0xCAFE))
-    send_lag = LatencyReservoir(reservoir_capacity,
-                                rng=random.Random(seed ^ 0xBEEF))
+    latency = LatencyHistogram()
+    service = LatencyHistogram()
+    send_lag = LatencyHistogram()
     tally = _Tally()
     tally_unsent = [0]
     next_index = [0]

@@ -1,37 +1,50 @@
-"""Latency statistics for load generation: bounded reservoirs.
+"""Latency statistics for load generation: a mergeable log histogram.
 
 A load test (or a long-lived server) observes an unbounded stream of
-latencies but can only afford bounded memory.  Two wrong answers are
-common:
+latencies but can only afford bounded memory, and a pre-fork service
+observes it in several processes at once.  :class:`LatencyHistogram`
+answers both: it counts each observation into one of a fixed set of
+logarithmic buckets (:data:`BUCKET_EDGES`, a module constant, so every
+process shares one layout), which
 
-* keep **every** sample -- memory grows without limit under sustained
-  load (a slow leak in a server that runs for weeks);
-* keep the **last N** samples -- a sliding window forgets the early
-  part of the run, so a spike at the start silently falls out of the
-  reported percentiles.
+* bounds memory by the number of buckets, however long the stream;
+* spans the whole stream -- an early spike never ages out;
+* merges exactly: two histograms add their bucket counts, so the
+  percentiles of a merge are those of one histogram fed both streams.
 
-:class:`LatencyReservoir` keeps a fixed-size *uniform random sample*
-over the whole stream (Vitter's Algorithm R): the first ``capacity``
-observations are kept verbatim (percentiles are exact until then), and
-observation ``n > capacity`` replaces a random slot with probability
-``capacity / n``, which makes every observation equally likely to be in
-the reservoir no matter when it arrived.  ``count``/``total``/``max``
-are tracked exactly on the side, so throughput and worst-case numbers
-never suffer sampling error -- only the mid-distribution percentiles
-are estimates, and those concentrate fast at the capacities used here
-(thousands of slots).
+``count``, ``max`` and the total behind ``mean`` (integer nanoseconds,
+so sums do not depend on the order of merges) are exact.  A percentile
+is the upper edge of the bucket holding its nearest-rank observation,
+clamped to the max: never below the exact value and, for latencies of
+at least 1 us, at most 1% above it, because consecutive edges differ
+by a factor of 1.01.
 
-The reservoir is thread-safe (one lock around observe/snapshot); the
-rng is injectable so tests can make replacement deterministic.
+The histogram is thread-safe (one lock around every read and write).
+:func:`percentile` is the exact nearest-rank rule the buckets bound.
 """
 
 from __future__ import annotations
 
-import random
+import math
 import threading
+from bisect import bisect_left
 from typing import Any
 
-__all__ = ["LatencyReservoir", "percentile", "summarize_ms"]
+__all__ = ["BUCKET_EDGES", "LatencyHistogram", "percentile"]
+
+
+def _edges(lowest: float, highest: float, growth: float) -> tuple[float, ...]:
+    edges = [lowest]
+    while edges[-1] < highest:
+        # Each edge is the float product of the one before, so an edge
+        # never exceeds ``growth`` times any value above the edge below.
+        edges.append(edges[-1] * growth)
+    return (*edges, math.inf)
+
+
+#: Upper bucket edges in seconds: 1 us to past one hour in steps of 1%,
+#: then one overflow bucket.  Bucket ``i`` holds (edge[i-1], edge[i]].
+BUCKET_EDGES = _edges(1e-6, 3600.0, 1.01)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -43,77 +56,85 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-def summarize_ms(seconds: list[float], count: int | None = None,
-                 total: float | None = None,
-                 maximum: float | None = None) -> dict[str, Any]:
-    """JSON-ready p50/p95/p99/max/mean summary, in milliseconds.
+class LatencyHistogram:
+    """Counts of a latency stream in the fixed :data:`BUCKET_EDGES`."""
 
-    ``seconds`` is the (possibly sampled) value set the percentiles are
-    computed from; ``count``/``total``/``maximum`` override the exact
-    stream statistics when the values are only a sample.
-    """
-    ms = [s * 1000.0 for s in seconds]
-    n = count if count is not None else len(ms)
-    tot_ms = (total * 1000.0) if total is not None else sum(ms)
-    max_ms = (maximum * 1000.0) if maximum is not None else (
-        max(ms) if ms else 0.0
-    )
-    return {
-        "count": n,
-        "mean": round(tot_ms / n, 3) if n else 0.0,
-        "p50": round(percentile(ms, 50), 3),
-        "p95": round(percentile(ms, 95), 3),
-        "p99": round(percentile(ms, 99), 3),
-        "max": round(max_ms, 3),
-    }
-
-
-class LatencyReservoir:
-    """Bounded uniform sample over a latency stream (Algorithm R)."""
-
-    def __init__(self, capacity: int = 2048,
-                 rng: random.Random | None = None) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._rng = rng if rng is not None else random.Random()
-        self._samples: list[float] = []
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._buckets: dict[int, int] = {}
         self.count = 0
-        self.total = 0.0
+        self.total_ns = 0
         self.max = 0.0
 
     def observe(self, seconds: float) -> None:
         """Record one latency observation (seconds)."""
+        index = bisect_left(BUCKET_EDGES, seconds)
         with self._lock:
             self.count += 1
-            self.total += seconds
+            self.total_ns += round(seconds * 1e9)
             if seconds > self.max:
                 self.max = seconds
-            if len(self._samples) < self.capacity:
-                self._samples.append(seconds)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self.capacity:
-                    self._samples[slot] = seconds
+            self._buckets[index] = self._buckets.get(index, 0) + 1
 
-    def __len__(self) -> int:
+    def merge(self, other: LatencyHistogram) -> None:
+        """Add ``other``'s observations to this histogram."""
+        record = other.as_dict()
         with self._lock:
-            return len(self._samples)
+            self.count += record["count"]
+            self.total_ns += record["total_ns"]
+            self.max = max(self.max, record["max"])
+            for index, n in record["buckets"]:
+                self._buckets[index] = self._buckets.get(index, 0) + n
 
-    def values(self) -> list[float]:
-        """A copy of the current sample set (seconds)."""
+    def quantile(self, q: float) -> float:
+        """Percentile ``q`` (in [0, 100]) in seconds: the upper edge of
+        the bucket holding the nearest-rank observation, clamped to the
+        max; 0.0 before any observation."""
         with self._lock:
-            return list(self._samples)
+            if not self.count:
+                return 0.0
+            rank = max(1, round(q / 100.0 * self.count))
+            seen = 0
+            for index in sorted(self._buckets):
+                seen += self._buckets[index]
+                if seen >= rank:
+                    break
+            return min(BUCKET_EDGES[index], self.max)
 
     def summary_ms(self) -> dict[str, Any]:
-        """JSON-ready count/mean/p50/p95/p99/max, in milliseconds.
-
-        ``count``/``mean``/``max`` are exact over the whole stream;
-        the percentiles come from the bounded uniform sample.
-        """
+        """JSON-ready count/mean/p50/p95/p99/max, in milliseconds."""
         with self._lock:
-            samples = list(self._samples)
-            count, total, maximum = self.count, self.total, self.max
-        return summarize_ms(samples, count=count, total=total,
-                            maximum=maximum)
+            count = self.count
+            return {
+                "count": count,
+                "mean": round(self.total_ns / count / 1e6, 3) if count else 0.0,
+                "p50": round(self.quantile(50) * 1000.0, 3),
+                "p95": round(self.quantile(95) * 1000.0, 3),
+                "p99": round(self.quantile(99) * 1000.0, 3),
+                "max": round(self.max * 1000.0, 3),
+            }
+
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-ready raw record; :meth:`from_dict` rebuilds it."""
+        with self._lock:
+            return {
+                "count": self.count,
+                "total_ns": self.total_ns,
+                "max": self.max,
+                "buckets": sorted(self._buckets.items()),
+            }
+
+    @classmethod
+    def from_dict(cls, record: dict[str, Any]) -> LatencyHistogram:
+        """The histogram :meth:`as_dict` wrote (``KeyError``,
+        ``TypeError`` or ``ValueError`` on a malformed record)."""
+        hist = cls()
+        hist.count = int(record["count"])
+        hist.total_ns = int(record["total_ns"])
+        hist.max = float(record["max"])
+        hist._buckets = {int(i): int(n) for i, n in record["buckets"]}
+        if sum(hist._buckets.values()) != hist.count or not all(
+            0 <= i < len(BUCKET_EDGES) for i in hist._buckets
+        ):
+            raise ValueError("not a LatencyHistogram record")
+        return hist

@@ -22,7 +22,6 @@ from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.prefork import (
     MetricsDir,
     PreforkUnavailableError,
-    choose_strategy,
     serve_prefork,
 )
 from repro.service.server import ServiceServer, create_server, serve
@@ -39,7 +38,6 @@ __all__ = [
     "ServiceMetrics",
     "ServiceServer",
     "TTLCache",
-    "choose_strategy",
     "create_server",
     "percentile",
     "serve",

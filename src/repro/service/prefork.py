@@ -10,21 +10,13 @@ scales with processes because each worker is its own interpreter;
 results stay consistent across workers because every cache tier below
 process memory is keyed by job content hash.
 
-Socket sharing strategies (:func:`choose_strategy`, forcible via the
-``REPRO_PREFORK`` environment variable):
-
-* ``"reuseport"`` (preferred) -- every worker binds its own socket to
-  the port with ``SO_REUSEPORT``; the kernel load-balances incoming
-  connections across workers.  The master holds a bound-but-not-
-  listening placeholder socket, so the port stays reserved even in the
-  gap between a worker dying and its respawn ("no dropped listener").
-* ``"inherited"`` (fallback) -- the master binds + listens once and
-  workers accept on the inherited file descriptor.  Works anywhere
-  ``os.fork`` does.
-
-Platforms with neither (no ``fork``) raise
-:class:`PreforkUnavailableError`, which the CLI renders as one clean
-``error:`` line.
+Every worker binds its own socket to the port with ``SO_REUSEPORT``,
+and the kernel load-balances incoming connections across them.  The
+master holds a bound-but-not-listening socket on the same port, so the
+port stays reserved even in the gap between a worker dying and its
+respawn ("no dropped listener").  A platform without ``os.fork`` or a
+working ``SO_REUSEPORT`` raises :class:`PreforkUnavailableError` before
+anything binds, which the CLI renders as one clean ``error:`` line.
 
 Supervision: a worker that dies unexpectedly (e.g. SIGKILL) is
 respawned, up to ``respawn_limit`` times over the master's lifetime --
@@ -36,14 +28,17 @@ draining``), and the master exits 0 only if every worker drained
 cleanly.  Workers also watch for the master vanishing (reparenting)
 and drain themselves, so a killed master never strands listeners.
 
-Metrics: single-process percentiles live in worker memory, so each
-worker periodically publishes its exact counters to
-``<metrics-dir>/worker-<pid>.json`` (atomic rename).  ``GET /metrics``
-on *any* worker then reports its own full snapshot **plus** a
-``prefork`` section with the merged per-endpoint/cache totals across
+Metrics: each worker periodically publishes its raw per-endpoint
+records (:meth:`~repro.service.metrics.ServiceMetrics.records`: counts
+and latency histogram buckets) to ``<metrics-dir>/worker-<pid>.json``
+(atomic rename).  ``GET /metrics`` on *any* worker then reports its own
+full snapshot **plus** a ``prefork`` section whose ``merged`` view adds
 every worker file ever written (dead workers' counts persist -- the
-merge is over the cluster's lifetime).  Percentiles are not merged:
-they cannot be summed; only counts and total seconds are.
+merge is over the cluster's lifetime) and renders the sum as one
+process renders its own, percentiles included: histograms merge by
+adding bucket counts.  The master removes a metrics directory it
+created once its workers are reaped; a ``--metrics-dir`` the user named
+stays.
 """
 
 from __future__ import annotations
@@ -51,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import shutil
 import signal
 import socket
 import sys
@@ -63,6 +59,7 @@ from typing import Any
 
 from repro import __version__
 from repro.harness.jobs import BUILTIN_JOBS, preload_jobs
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import listen_error
 from repro.util.validation import UnavailableError
 
@@ -70,7 +67,6 @@ __all__ = [
     "MetricsDir",
     "PreforkUnavailableError",
     "WorkerState",
-    "choose_strategy",
     "serve_prefork",
 ]
 
@@ -85,59 +81,29 @@ class PreforkUnavailableError(UnavailableError):
     """This platform cannot run the pre-fork tier (use ``--workers 1``)."""
 
 
-def _reuseport_works() -> bool:
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
+def _reuseport_socket() -> socket.socket:
+    """A TCP socket with ``SO_REUSEPORT`` set, unbound, or
+    :class:`PreforkUnavailableError` where the platform has none."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        finally:
-            probe.close()
-        return True
-    except OSError:
-        return False
-
-
-def choose_strategy(force: str | None = None) -> str:
-    """Pick ``"reuseport"`` or ``"inherited"``, or raise.
-
-    ``force`` (or the ``REPRO_PREFORK`` environment variable) pins a
-    strategy; forcing ``reuseport`` where the platform lacks it raises
-    instead of silently falling back, so tests and deployments that
-    depend on kernel load-balancing find out at boot.
-    """
-    force = force or os.environ.get("REPRO_PREFORK") or None
-    if force not in (None, "reuseport", "inherited"):
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    except (AttributeError, OSError):
+        sock.close()
         raise PreforkUnavailableError(
-            f"unknown prefork strategy {force!r} "
-            "(REPRO_PREFORK accepts 'reuseport' or 'inherited')"
-        )
-    if not hasattr(os, "fork"):
-        raise PreforkUnavailableError(
-            "prefork needs os.fork(), which this platform does not "
+            "prefork needs SO_REUSEPORT, which this platform does not "
             "provide; run with --workers 1"
-        )
-    if force == "inherited":
-        return "inherited"
-    if _reuseport_works():
-        return "reuseport"
-    if force == "reuseport":
-        raise PreforkUnavailableError(
-            "SO_REUSEPORT is unavailable on this platform and the "
-            "inherited-FD fallback was disabled (REPRO_PREFORK=reuseport); "
-            "run with --workers 1"
-        )
-    return "inherited"
+        ) from None
+    return sock
 
 
 class MetricsDir:
-    """Per-worker counter files + the cross-worker merge.
+    """Per-worker metrics files + the cross-worker merge.
 
     One JSON file per worker pid, written via temp-file + atomic
-    rename so a reader never sees a torn write; ``merged()`` sums the
-    exact counters across every file.  The master keeps its own
-    ``master.json`` (pids, respawns, strategy) for observability.
+    rename so a reader never sees a torn write; ``merged()`` adds the
+    records of every file.  The master keeps its own ``master.json``
+    (pids, respawns) for observability.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -154,7 +120,7 @@ class MetricsDir:
         self._write(f"worker-{pid}.json", payload)
 
     def publish_master(self, payload: dict[str, Any]) -> None:
-        """Atomically replace ``master.json`` (pids/strategy/respawns)."""
+        """Atomically replace ``master.json`` (pids/respawns)."""
         self._write("master.json", payload)
 
     def read_master(self) -> dict[str, Any] | None:
@@ -165,49 +131,36 @@ class MetricsDir:
         except (OSError, ValueError):
             return None
 
-    def worker_payloads(self) -> list[dict[str, Any]]:
-        """Every parseable ``worker-*.json`` payload, sorted by name;
-        corrupt or vanished files are skipped, never fatal."""
-        payloads = []
-        for path in sorted(self.root.glob("worker-*.json")):
-            try:
-                payloads.append(json.loads(path.read_text()))
-            except (OSError, ValueError):
-                continue  # vanished or half-stale file: skip, not fail
-        return payloads
-
     def merged(self) -> dict[str, Any]:
-        """Sum every worker file's counters into one cluster view."""
+        """Add every worker file's records into one cluster view; its
+        ``endpoints`` are rendered by :meth:`ServiceMetrics.snapshot`,
+        as ``/metrics`` renders one process.  A corrupt or vanished
+        file, or one holding another version's records, is skipped."""
+        total = ServiceMetrics()
         per_worker: dict[str, dict[str, int]] = {}
-        endpoints: dict[str, dict[str, float]] = {}
         memory = {"hits": 0, "misses": 0, "evictions": 0, "expirations": 0}
         coalesced = 0
-        for payload in self.worker_payloads():
-            pid = str(payload.get("pid", "?"))
-            own_requests = own_errors = 0
-            for label, counts in payload.get("endpoints", {}).items():
-                agg = endpoints.setdefault(
-                    label,
-                    {"requests": 0, "errors": 0, "total_seconds": 0.0},
-                )
-                agg["requests"] += counts.get("requests", 0)
-                agg["errors"] += counts.get("errors", 0)
-                agg["total_seconds"] += counts.get("total_seconds", 0.0)
-                own_requests += counts.get("requests", 0)
-                own_errors += counts.get("errors", 0)
-            per_worker[pid] = {"requests": own_requests, "errors": own_errors}
+        for path in sorted(self.root.glob("worker-*.json")):
+            try:
+                payload = json.loads(path.read_text())
+                records = payload.get("endpoints", {})
+                total.add(records)
+            except (AttributeError, KeyError, OSError, TypeError, ValueError):
+                continue
+            per_worker[str(payload.get("pid", "?"))] = {
+                "requests": sum(r["requests"] for r in records.values()),
+                "errors": sum(r["errors"] for r in records.values()),
+            }
             mem = payload.get("cache", {}).get("memory") or {}
             for key in memory:
                 memory[key] += mem.get(key, 0)
             coalesced += payload.get("cache", {}).get("coalesced", 0)
-        for agg in endpoints.values():
-            agg["total_seconds"] = round(agg["total_seconds"], 6)
         return {
             "workers_seen": len(per_worker),
             "requests": sum(w["requests"] for w in per_worker.values()),
             "errors": sum(w["errors"] for w in per_worker.values()),
             "per_worker": dict(sorted(per_worker.items())),
-            "endpoints": dict(sorted(endpoints.items())),
+            "endpoints": total.snapshot(),
             "cache": {"memory": memory, "coalesced": coalesced},
         }
 
@@ -222,23 +175,20 @@ class WorkerState:
     first, so its own contribution is always current).
     """
 
-    def __init__(self, metrics_dir: MetricsDir, index: int, workers: int,
-                 strategy: str) -> None:
+    def __init__(self, metrics_dir: MetricsDir, index: int, workers: int) -> None:
         self.metrics_dir = metrics_dir
         self.index = index
         self.workers = workers
-        self.strategy = strategy
         self.pid = os.getpid()
         self._last: str | None = None
 
     def snapshot(self, service: Any) -> dict[str, Any]:
-        """This worker's mergeable counters (no percentiles): request/
-        error/seconds per endpoint plus memory-cache and coalescing
-        totals."""
+        """This worker's mergeable records: per-endpoint counts and
+        latency buckets plus memory-cache and coalescing totals."""
         return {
             "pid": self.pid,
             "worker_index": self.index,
-            "endpoints": service.metrics.counters(),
+            "endpoints": service.metrics.records(),
             "cache": {
                 "memory": service.cache.stats.as_dict(),
                 "coalesced": service.flight.coalesced,
@@ -246,7 +196,7 @@ class WorkerState:
         }
 
     def publish(self, service: Any) -> None:
-        """Write this worker's counters file iff they changed."""
+        """Write this worker's metrics file iff its records changed."""
         payload = self.snapshot(service)
         encoded = json.dumps(payload, sort_keys=True)
         if encoded == self._last:
@@ -264,7 +214,6 @@ class WorkerState:
             "pid": self.pid,
             "worker_index": self.index,
             "workers": self.workers,
-            "strategy": self.strategy,
             "master": self.metrics_dir.read_master(),
             "merged": self.metrics_dir.merged(),
         }
@@ -278,7 +227,6 @@ def _worker_trace_path(trace: str, pid: int) -> str:
 def _worker_main(
     index: int,
     lsock: socket.socket,
-    strategy: str,
     host: str,
     port: int,
     workers: int,
@@ -302,23 +250,12 @@ def _worker_main(
     if trace:
         obs.configure(_worker_trace_path(trace, os.getpid()))
 
-    if strategy == "reuseport":
-        lsock.close()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        sock.listen(128)
-    else:
-        sock = lsock
-        # Every worker polls this one listener and all of them wake on
-        # each connection.  The losers must get EAGAIN (socketserver
-        # ignores it) rather than block in accept(), where shutdown()
-        # would wait forever for serve_forever to return.
-        sock.setblocking(False)
+    lsock.close()  # the master's port reservation, not a listener
+    sock = _reuseport_socket()
+    sock.bind((host, port))
+    sock.listen(128)
 
-    state = WorkerState(metrics_dir, index=index, workers=workers,
-                        strategy=strategy)
+    state = WorkerState(metrics_dir, index=index, workers=workers)
     server = create_server(sock=sock, prefork=state, **server_kwargs)
     runner = threading.Thread(target=server.serve_forever, daemon=True)
     runner.start()
@@ -379,7 +316,11 @@ def serve_prefork(
     if workers < 2:
         raise ValueError("serve_prefork needs workers >= 2; "
                          "use repro.service.server.serve for one process")
-    strategy = choose_strategy()
+    if not hasattr(os, "fork"):
+        raise PreforkUnavailableError(
+            "prefork needs os.fork(), which this platform does not "
+            "provide; run with --workers 1"
+        )
     if respawn_limit is None:
         respawn_limit = DEFAULT_RESPAWN_LIMIT
     if snapshot is not None:
@@ -393,26 +334,21 @@ def serve_prefork(
     # Import the job functions once here; every forked worker inherits them.
     preload_jobs(BUILTIN_JOBS)
 
-    lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    if strategy == "reuseport":
-        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    # The master's socket stays bound but never listens: it is only
+    # the port reservation that survives worker deaths.
+    lsock = _reuseport_socket()
     try:
         lsock.bind((host, port))
     except OSError as exc:
         lsock.close()
         raise listen_error(host, port, exc) from exc
     bound_host, bound_port = lsock.getsockname()[:2]
-    if strategy == "inherited":
-        # Workers accept on this inherited descriptor.
-        lsock.listen(128)
-    # reuseport: the master's socket stays bound but never listens --
-    # it is only the port reservation that survives worker deaths.
 
+    own_metrics_dir = metrics_dir is None
     mdir = MetricsDir(
-        metrics_dir
-        if metrics_dir is not None
-        else tempfile.mkdtemp(prefix="repro-prefork-metrics-")
+        tempfile.mkdtemp(prefix="repro-prefork-metrics-")
+        if own_metrics_dir
+        else metrics_dir
     )
     server_kwargs = dict(
         store=store,
@@ -424,7 +360,6 @@ def serve_prefork(
     )
     worker_args = dict(
         lsock=lsock,
-        strategy=strategy,
         host=bound_host,
         port=bound_port,
         workers=workers,
@@ -447,7 +382,6 @@ def serve_prefork(
     def publish_master() -> None:
         mdir.publish_master({
             "pid": os.getpid(),
-            "strategy": strategy,
             "workers": workers,
             "respawns": respawns,
             "respawn_limit": respawn_limit,
@@ -462,7 +396,7 @@ def serve_prefork(
     print(
         f"repro-service {__version__} prefork master pid={os.getpid()} "
         f"listening on http://{bound_host}:{bound_port} "
-        f"(workers={workers}, strategy={strategy}, ttl={ttl:g}s"
+        f"(workers={workers}, ttl={ttl:g}s"
         f"{store_note}, metrics={mdir.root})",
         flush=True,
     )
@@ -520,6 +454,8 @@ def serve_prefork(
                 os.waitpid(pid, 0)
         children.clear()
         publish_master()
+        if own_metrics_dir:
+            shutil.rmtree(mdir.root, ignore_errors=True)
         lsock.close()
         for sig, handler in previous.items():
             signal.signal(sig, handler)

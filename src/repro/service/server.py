@@ -121,9 +121,8 @@ class ServiceServer(ThreadingHTTPServer):
         sock: socket.socket | None = None,
     ) -> None:
         if sock is not None:
-            # Adopt an already-bound, already-listening socket (the
-            # pre-fork tier shares the port across worker processes,
-            # via SO_REUSEPORT siblings or one inherited descriptor).
+            # Adopt an already-bound, already-listening socket (each
+            # pre-fork worker binds its own SO_REUSEPORT sibling).
             super().__init__(address, ServiceHandler, bind_and_activate=False)
             self.socket.close()  # the unbound default TCPServer made
             self.socket = sock

@@ -13,6 +13,7 @@ serializers' shapes so scripts can switch between the CLI and
 from __future__ import annotations
 
 import json
+import os
 import socket
 
 import pytest
@@ -90,6 +91,8 @@ LOADTEST_BOUNDS = [
     (["--timeout", "0"], "timeout"),
     (["--connections", "0"], "connections"),
     (["--mode", "open", "--rate", "0"], "rate"),
+    (["--mix-size", "0"], "mix_size"),
+    (["--mix-size", "100000"], "mix_size"),
 ]
 
 
@@ -99,8 +102,9 @@ LOADTEST_BOUNDS = [
 def test_loadtest_bounds_name_the_flag(flags, name):
     """Each used to run and end in "no request ... was answered" (a zero
     timeout is a non-blocking socket; a window that is not positive
-    sends nothing).  Port 1 answers nothing, so only a message that
-    names the flag shows the bound was checked first."""
+    sends nothing) or, for a mix size the service rejects, in nothing
+    but 422s.  Port 1 answers nothing, so only a message that names the
+    flag shows the bound was checked first."""
     with pytest.raises(SystemExit) as excinfo:
         main(["loadtest", "--port", "1", *flags])
     message = excinfo.value.code
@@ -343,26 +347,26 @@ class TestSnapshotErrors:
 
 
 class TestPreforkUnavailableErrors:
-    """``serve --workers N`` on a platform where neither SO_REUSEPORT
-    nor the inherited-FD fallback works must exit with one clean
-    ``error: ...`` line, not a socket/os traceback."""
+    """``serve --workers N`` on a platform without ``os.fork`` or
+    ``SO_REUSEPORT`` must exit with one clean ``error: ...`` line, not a
+    socket/os traceback."""
 
-    def test_prefork_unavailable_is_clean(self, monkeypatch):
-        from repro.service import prefork
-
-        def unavailable(*_args, **_kwargs):
-            raise prefork.PreforkUnavailableError(
-                "prefork needs SO_REUSEPORT or a working inherited-socket "
-                "fallback; run with --workers 1"
-            )
-
-        monkeypatch.setattr(prefork, "choose_strategy", unavailable)
+    @staticmethod
+    def _assert_unavailable(needs: str) -> None:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--workers", "2", "--port", "0"])
-        message = str(excinfo.value)
-        assert message.startswith("error: prefork needs")
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"error: prefork needs {needs}")
         assert "--workers 1" in message  # points at the escape hatch
-        assert "Traceback" not in message
+
+    def test_prefork_unavailable_is_clean(self, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        self._assert_unavailable("SO_REUSEPORT")
+
+    def test_no_fork_is_unavailable(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        self._assert_unavailable("os.fork()")
 
     def test_workers_validation(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -527,10 +528,11 @@ class TestInterruptedSweep:
         assert canonical_json(values) == _serial_values()
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-    def test_killed_fabric_sweep_keeps_settled_cells(self, tmp_path):
+    def test_killed_fabric_sweep_keeps_settled_cells(self, tmp_path, monkeypatch):
         """SIGKILL a ``--workers 2`` sweep after its 3rd progress line:
         every cell that printed is in the store, and the rerun serves
-        them and matches an uninterrupted serial sweep bit for bit."""
+        them, matches an uninterrupted serial sweep bit for bit and
+        removes the queue the killed sweep left in its TMPDIR."""
         store = tmp_path / "store"
         pace = ["--set", "pause=0.2", "--workers", "2"]
         printed, workers = _sweep_killed_after(
@@ -546,11 +548,15 @@ class TestInterruptedSweep:
             label = line.split("] ", 1)[1].rsplit("  ", 1)[0]
             assert stored.get(jobs[label])[0], f"{label} printed, not stored"
         assert len(stored) < len(jobs), "the sweep finished before the kill"
+        scratch = tmp_path / "tmp"
+        assert list(scratch.glob("repro-fabric-*")), "the kill left no queue"
 
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         record = _rerun(PACED, store, tmp_path / "rerun.json", pace)
         assert record["num_cached"] >= len(printed)
         values = [r["value"] for r in record["results"]]
         assert canonical_json(values) == _serial_values()
+        assert not list(scratch.glob("repro-fabric-*")), "queue left behind"
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
     def test_workers_stop_when_the_coordinator_dies(self, tmp_path):

@@ -20,103 +20,143 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.loadgen import (
-    LatencyReservoir,
+    LatencyHistogram,
     percentile,
     resolve_mix,
     run_closed_loop,
     run_open_loop,
-    summarize_ms,
 )
 from repro.loadgen.mix import RequestMix, RequestSpec
+from repro.loadgen.stats import BUCKET_EDGES
 from repro.service import create_server
 from repro.service.metrics import ServiceMetrics
+from tests.hypothesis_profiles import DETERMINISM
 
 
-class TestLatencyReservoir:
-    def test_exact_until_capacity(self):
-        res = LatencyReservoir(capacity=100)
-        for v in [0.010, 0.020, 0.030, 0.040]:
-            res.observe(v)
-        summary = res.summary_ms()
+def _histogram(seconds: list[float]) -> LatencyHistogram:
+    hist = LatencyHistogram()
+    for value in seconds:
+        hist.observe(value)
+    return hist
+
+
+_LATENCIES = st.lists(st.floats(min_value=1e-6, max_value=3600.0), max_size=200)
+
+
+class TestLatencyHistogram:
+    @DETERMINISM
+    @given(_LATENCIES.filter(bool), _LATENCIES)
+    def test_bounded_error_exact_merge_bounded_memory(self, first, second):
+        """For latencies in [1 us, 1 h]: count and max are exact, each
+        percentile lies in [exact, exact x 1.01], a merge renders as
+        one histogram fed both streams, and the buckets held stay under
+        the fixed layout's size."""
+        hist = _histogram(first)
+        assert hist.count == len(first)
+        assert hist.max == max(first)
+        for q in (50, 95, 99):
+            exact = percentile(first, q)
+            assert exact <= hist.quantile(q) <= exact * 1.01, (q, exact)
+
+        hist.merge(_histogram(second))
+        both = _histogram(first + second)
+        assert hist.summary_ms() == both.summary_ms()
+        assert hist.as_dict() == both.as_dict()
+        assert len(hist.as_dict()["buckets"]) <= len(BUCKET_EDGES)
+
+    def test_exact_count_mean_max(self):
+        hist = _histogram([0.010, 0.020, 0.030, 0.040])
+        summary = hist.summary_ms()
         assert summary["count"] == 4
-        assert summary["p50"] == 20.0
-        assert summary["max"] == 40.0
         assert summary["mean"] == 25.0
+        assert summary["max"] == 40.0
+        assert 20.0 <= summary["p50"] <= 20.2
+        assert summary["p99"] == 40.0  # the top bucket is clamped to the max
 
     def test_memory_bounded_counters_exact(self):
-        res = LatencyReservoir(capacity=64, rng=random.Random(0))
-        for i in range(10_000):
-            res.observe(i / 1000.0)
-        assert len(res) == 64
-        assert res.count == 10_000
-        assert res.max == pytest.approx(9.999)
-        summary = res.summary_ms()
-        assert summary["count"] == 10_000
-        assert summary["max"] == pytest.approx(9999.0)
+        hist = _histogram([i / 1000.0 for i in range(1, 10_001)])
+        assert hist.count == 10_000
+        assert hist.max == 10.0
+        # 1 ms to 10 s spans ~926 buckets of 1%, not 10,000 samples
+        assert len(hist.as_dict()["buckets"]) < 1_000
+        assert hist.summary_ms()["mean"] == pytest.approx(5000.5)
 
-    def test_sample_spans_whole_stream_not_a_window(self):
-        # A sliding window would only hold the last 64 of 10k values;
-        # the uniform reservoir must retain early observations too.
-        res = LatencyReservoir(capacity=64, rng=random.Random(7))
-        for i in range(10_000):
-            res.observe(float(i))
-        values = res.values()
-        assert min(values) < 2_500.0
-        assert max(values) > 7_500.0
+    def test_spans_whole_stream_not_a_window(self):
+        # A sliding window would have forgotten the early spike.
+        hist = _histogram([5.0] * 200 + [0.001] * 9_800)
+        assert hist.quantile(99) == 5.0
+
+    def test_round_trip_and_malformed_records(self):
+        hist = _histogram([0.001, 0.5, 7200.0, 0.0])
+        record = json.loads(json.dumps(hist.as_dict()))
+        assert LatencyHistogram.from_dict(record).summary_ms() == hist.summary_ms()
+        assert LatencyHistogram().summary_ms() == {
+            "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
+            "max": 0.0,
+        }
+        for bad in ({**record, "count": 5},
+                    {**record, "buckets": [[len(BUCKET_EDGES), 4]]},
+                    {"count": 1}):
+            with pytest.raises((KeyError, ValueError)):
+                LatencyHistogram.from_dict(bad)
 
     def test_thread_safe_counts(self):
-        res = LatencyReservoir(capacity=32)
+        hist = LatencyHistogram()
 
         def spin():
             for _ in range(2_000):
-                res.observe(0.001)
+                hist.observe(0.001)
 
         threads = [threading.Thread(target=spin) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert res.count == 8_000
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert hist.count == 8_000
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
-
-    def test_percentile_and_summary_helpers(self):
+    def test_percentile_helper(self):
         assert percentile([], 50) == 0.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
-        summary = summarize_ms([0.001, 0.002])
-        assert summary == {
-            "count": 2, "mean": 1.5, "p50": 1.0, "p95": 2.0,
-            "p99": 2.0, "max": 2.0,
-        }
+        assert percentile([4.0, 1.0, 3.0, 2.0], 99) == 4.0
 
 
-class TestServiceMetricsReservoir:
-    """The /metrics percentiles ride the same bounded reservoir."""
+class TestServiceMetrics:
+    """The /metrics percentiles ride the same histogram, and a worker's
+    records add into another process's metrics."""
 
-    def test_window_bounds_memory_counters_stay_exact(self):
-        metrics = ServiceMetrics(window=32)
+    def test_memory_bounded_counters_stay_exact(self):
+        metrics = ServiceMetrics()
         for i in range(5_000):
             metrics.observe("GET /x", 200, 0.001 * (i % 10 + 1))
         snap = metrics.snapshot()["GET /x"]
         assert snap["requests"] == 5_000
-        assert snap["latency_ms"]["count"] == 5_000  # exact stream count
+        assert snap["latency_ms"]["count"] == 5_000
         assert snap["latency_ms"]["max"] == pytest.approx(10.0)
-        # the sample backing the percentiles is bounded at the window
-        assert len(metrics._endpoints["GET /x"].reservoir) == 32
+        assert len(metrics.records()["GET /x"]["latency"]["buckets"]) == 10
 
-    def test_counters_export_is_mergeable(self):
-        metrics = ServiceMetrics()
-        metrics.observe("GET /x", 200, 0.5)
-        metrics.observe("GET /x", 500, 0.25)
-        counters = metrics.counters()
-        assert counters == {
-            "GET /x": {"requests": 2, "errors": 1, "total_seconds": 0.75}
-        }
+    def test_records_add_like_one_stream(self):
+        first, second, both = ServiceMetrics(), ServiceMetrics(), ServiceMetrics()
+        for metrics, status, seconds in [
+            (first, 200, 0.5), (first, 500, 0.25), (second, 200, 0.125),
+        ]:
+            metrics.observe("GET /x", status, seconds)
+            both.observe("GET /x", status, seconds)
+        second.observe("GET /y", 404, 0.01)
+        both.observe("GET /y", 404, 0.01)
+        total = ServiceMetrics()
+        total.add(json.loads(json.dumps(first.records())))
+        total.add(second.records())
+        assert total.snapshot() == both.snapshot()
+        assert total.snapshot()["GET /x"]["errors"] == 1
+        with pytest.raises(KeyError):
+            total.add({"GET /x": {"requests": 1, "errors": 0}})
+        assert total.snapshot() == both.snapshot()  # nothing half-added
 
 
 class TestRequestMix:

@@ -8,8 +8,10 @@ port from its boot line, and exercise the contract:
 * worker SIGKILL mid-service -> respawned, port keeps answering;
 * SIGTERM to the master -> workers drain (in-flight completes,
   keep-alive stragglers get 503/close), master exits 0;
-* merged ``/metrics`` counters across worker files equal exactly the
-  number of requests the client sent;
+* merged ``/metrics`` counters and latency histograms across worker
+  files equal exactly the number of requests the client sent;
+* the master removes the metrics directory it made, and keeps one the
+  user named;
 * ``--workers 1`` takes the pre-existing single-process path.
 
 ``REPRO_SERVICE_DEBUG=1`` enables the ``/debug/sleep`` endpoint so the
@@ -32,16 +34,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.prefork import (
-    MetricsDir,
-    PreforkUnavailableError,
-    choose_strategy,
-)
+from repro.service.metrics import ServiceMetrics
+from repro.service.prefork import MetricsDir
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="prefork needs os.fork"
+    not hasattr(os, "fork") or not hasattr(socket, "SO_REUSEPORT"),
+    reason="prefork needs os.fork and SO_REUSEPORT",
 )
 
 
@@ -72,23 +72,25 @@ class _Master:
     """A ``repro serve --workers N`` subprocess + its parsed port."""
 
     def __init__(self, tmp_path: Path, workers: int = 2,
-                 strategy: str | None = None, extra: list[str] = ()):
+                 tmpdir: Path | None = None):
+        """With ``tmpdir``, the master runs with that ``TMPDIR`` and
+        makes its own metrics directory there."""
         env = dict(
             os.environ,
             PYTHONPATH=REPO_SRC,
             REPRO_SERVICE_DEBUG="1",
         )
-        if strategy:
-            env["REPRO_PREFORK"] = strategy
         self.metrics_dir = tmp_path / "metrics"
         argv = [
             sys.executable, "-m", "repro", "serve",
             "--workers", str(workers), "--port", "0",
             "--store", str(tmp_path / "store"),
-            "--metrics-dir", str(self.metrics_dir),
             "--drain-timeout", "10",
-            *extra,
         ]
+        if tmpdir is None:
+            argv += ["--metrics-dir", str(self.metrics_dir)]
+        else:
+            env["TMPDIR"] = str(tmpdir)
         self.proc = subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
@@ -117,30 +119,36 @@ class _Master:
             self.proc.communicate(timeout=10)
 
 
-@pytest.fixture(params=["reuseport", "inherited"])
-def strategy(request):
-    if request.param == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-        pytest.skip("no SO_REUSEPORT on this platform")
-    return request.param
-
-
 class TestLifecycle:
-    def test_workers_share_one_port(self, tmp_path, strategy):
-        master = _Master(tmp_path, workers=2, strategy=strategy)
+    def test_workers_share_one_port(self, tmp_path):
+        master = _Master(tmp_path, workers=2)
         try:
             pids = {
                 _get_retry(master.port, "/healthz")["pid"] for _ in range(40)
             }
             record = master.master_record()
-            assert record["strategy"] == strategy
             assert len(record["pids"]) == 2
             assert pids <= set(record["pids"])
-            if strategy == "reuseport":
-                # 40 fresh connections hash across both listeners;
-                # P(all land on one of 2) ~ 2^-39.
-                assert len(pids) == 2
+            # 40 fresh connections hash across both listeners;
+            # P(all land on one of 2) ~ 2^-39.
+            assert len(pids) == 2
             out = master.terminate(expect_code=0)
             assert "bye" in out
+            assert master.metrics_dir.is_dir()  # named by the user: kept
+        finally:
+            master.kill()
+
+    def test_master_removes_the_metrics_dir_it_made(self, tmp_path):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        master = _Master(tmp_path, workers=2, tmpdir=scratch)
+        try:
+            assert [p.name[:22] for p in scratch.iterdir()] == [
+                "repro-prefork-metrics-"
+            ]
+            out = master.terminate(expect_code=0)
+            assert "bye" in out
+            assert list(scratch.iterdir()) == []
         finally:
             master.kill()
 
@@ -232,7 +240,6 @@ class TestLifecycle:
             assert status == 200
             prefork = metrics["prefork"]
             assert prefork["workers"] == 2
-            assert prefork["strategy"] in ("reuseport", "inherited")
             assert prefork["master"]["respawns"] == 0
             merged = prefork["merged"]
             # Exactly every client request is counted once (the
@@ -244,8 +251,14 @@ class TestLifecycle:
                 w["requests"] for w in merged["per_worker"].values()
             )
             by_endpoint = merged["endpoints"]
-            assert by_endpoint["GET /healthz"]["requests"] == 13
+            # One process's /metrics shape, percentiles merged too.
+            healthz = by_endpoint["GET /healthz"]
+            assert set(healthz) == {"requests", "errors", "latency_ms"}
+            assert healthz["requests"] == healthz["latency_ms"]["count"] == 13
+            latency = healthz["latency_ms"]
+            assert latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
             assert by_endpoint["GET /v1/bandwidth"]["requests"] == 8
+            assert by_endpoint["GET /v1/bandwidth"]["latency_ms"]["count"] == 8
             # Cross-worker single-flight does not exist; per-process
             # memory caches plus the shared store dedup the compute.
             assert merged["cache"]["memory"]["misses"] >= 1
@@ -357,63 +370,41 @@ class TestBootResolvesJobs:
         assert json.loads(missing) == []
 
 
-class TestChooseStrategy:
-    def test_default_on_this_platform(self):
-        assert choose_strategy() in ("reuseport", "inherited")
-
-    def test_force_inherited(self):
-        assert choose_strategy("inherited") == "inherited"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(PreforkUnavailableError, match="unknown prefork"):
-            choose_strategy("threads")
-
-    def test_no_fork_is_unavailable(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        with pytest.raises(PreforkUnavailableError, match="os.fork"):
-            choose_strategy()
-
-    def test_forced_reuseport_without_kernel_support(self, monkeypatch):
-        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
-        with pytest.raises(PreforkUnavailableError, match="SO_REUSEPORT"):
-            choose_strategy("reuseport")
-
-    def test_missing_reuseport_falls_back_to_inherited(self, monkeypatch):
-        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
-        assert choose_strategy() == "inherited"
-
-
 class TestMetricsDir:
     def test_merge_sums_counters(self, tmp_path):
+        """Adding two workers' records renders as one process that
+        served both streams."""
+        first, second, both = ServiceMetrics(), ServiceMetrics(), ServiceMetrics()
+        for metrics, endpoint, status, seconds in [
+            (first, "GET /x", 200, 0.5), (first, "GET /x", 500, 0.25),
+            (first, "GET /x", 200, 0.125), (second, "GET /x", 200, 0.0625),
+            (second, "GET /y", 200, 0.1),
+        ]:
+            metrics.observe(endpoint, status, seconds)
+            both.observe(endpoint, status, seconds)
         mdir = MetricsDir(tmp_path)
         mdir.publish_worker(11, {
             "pid": 11,
-            "endpoints": {
-                "GET /x": {"requests": 3, "errors": 1, "total_seconds": 0.5},
-            },
+            "endpoints": first.records(),
             "cache": {"memory": {"hits": 2, "misses": 1, "evictions": 0,
                                  "expirations": 0}, "coalesced": 1},
         })
         mdir.publish_worker(22, {
             "pid": 22,
-            "endpoints": {
-                "GET /x": {"requests": 5, "errors": 0, "total_seconds": 0.25},
-                "GET /y": {"requests": 2, "errors": 0, "total_seconds": 0.1},
-            },
+            "endpoints": second.records(),
             "cache": {"memory": {"hits": 4, "misses": 3, "evictions": 2,
                                  "expirations": 1}, "coalesced": 0},
         })
         merged = mdir.merged()
         assert merged["workers_seen"] == 2
-        assert merged["requests"] == 10
+        assert merged["requests"] == 5
         assert merged["errors"] == 1
         assert merged["per_worker"] == {
             "11": {"requests": 3, "errors": 1},
-            "22": {"requests": 7, "errors": 0},
+            "22": {"requests": 2, "errors": 0},
         }
-        assert merged["endpoints"]["GET /x"] == {
-            "requests": 8, "errors": 1, "total_seconds": 0.75,
-        }
+        assert merged["endpoints"] == both.snapshot()
+        assert merged["endpoints"]["GET /x"]["latency_ms"]["max"] == 500.0
         assert merged["cache"]["memory"]["hits"] == 6
         assert merged["cache"]["coalesced"] == 1
 
@@ -421,8 +412,16 @@ class TestMetricsDir:
         mdir = MetricsDir(tmp_path)
         mdir.publish_worker(1, {"pid": 1, "endpoints": {}, "cache": {}})
         (tmp_path / "worker-9.json").write_text("{torn")
+        # counters without histogram buckets: not this version's record
+        mdir.publish_worker(8, {
+            "pid": 8,
+            "endpoints": {"GET /x": {"requests": 3, "errors": 0,
+                                     "total_seconds": 0.5}},
+            "cache": {},
+        })
         merged = mdir.merged()
         assert merged["workers_seen"] == 1
+        assert merged["endpoints"] == {}
 
     def test_atomic_publish_leaves_no_tmp_files(self, tmp_path):
         mdir = MetricsDir(tmp_path)
