@@ -35,7 +35,11 @@ from pathlib import Path
 import pytest
 
 from repro.service.metrics import ServiceMetrics
-from repro.service.prefork import MetricsDir
+from repro.service.prefork import (
+    MetricsDir,
+    PreforkUnavailableError,
+    serve_prefork,
+)
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -368,6 +372,19 @@ class TestBootResolvesJobs:
                 proc.kill()
                 proc.communicate(timeout=10)
         assert json.loads(missing) == []
+
+
+class TestChooseStrategy:
+    """``SO_REUSEPORT`` is the tier's one socket strategy; without it the
+    master refuses before it binds or forks anything."""
+
+    def test_forced_reuseport_without_kernel_support(self, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        with pytest.raises(PreforkUnavailableError, match="SO_REUSEPORT"):
+            serve_prefork(port=0, workers=2,
+                          metrics_dir=tmp_path / "metrics")
+        assert not (tmp_path / "metrics").exists()
 
 
 class TestMetricsDir:
