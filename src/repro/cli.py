@@ -45,6 +45,7 @@ import contextlib
 import json
 import sys
 import time
+from dataclasses import replace
 
 from repro.operations import MAX_MACHINE_SIZE, OPERATIONS, Field, catalog_jobs, client_error
 from repro.topologies import all_family_keys, family_spec
@@ -83,6 +84,61 @@ _MIX_SIZE = Field(
     "mix_size", "int", minimum=2, maximum=MAX_MACHINE_SIZE,
     help="machine size the mix queries (mix-dependent; default 64)",
 )
+
+#: ``--workers`` of ``sweep``, ``snapshot build`` and ``serve``: each
+#: worker is a forked process, so the count is capped like
+#: ``loadtest --connections``.
+_WORKERS = Field(
+    "workers", "int", default=1, minimum=1, maximum=256,
+    help="worker processes, 1 to 256 (1 = in this process; more fork fabric "
+    "workers)",
+)
+
+#: ``sweep``'s executor settings.  A deadline that is not positive makes
+#: ``setitimer`` fail every cell, and a NaN one fails them too.
+_SWEEP_FIELDS = (
+    _WORKERS,
+    Field("retries", "int", default=1, minimum=0, maximum=100,
+          help="retries per transient failure or worker death"),
+    Field("timeout", "float", minimum=0.01, maximum=86400.0,
+          help="per-job timeout in seconds"),
+)
+
+_SNAPSHOT_WORKERS = replace(
+    _WORKERS, default=4,
+    help="forked fabric workers, 1 to 256 (1 = compute serially in-process)",
+)
+
+#: ``serve``'s process, cache and drain settings, checked before any
+#: process forks or port binds: a negative cache size or TTL would turn
+#: the memory tier off, a NaN TTL would never expire an entry, and zero
+#: request threads would be announced at boot but run as one.
+_SERVE_FIELDS = (
+    replace(
+        _WORKERS,
+        help="worker *processes*, 1 to 256; >1 starts the pre-fork tier (a master "
+        "reserves the port, workers share it via SO_REUSEPORT; see "
+        "docs/SERVICE.md)",
+    ),
+    Field("cache_size", "int", default=1024, minimum=0, maximum=1_000_000,
+          help="in-process LRU capacity in entries (0 keeps no memory tier)"),
+    Field("ttl", "float", default=300.0, minimum=0.01, maximum=31_536_000.0,
+          help="in-process cache TTL in seconds"),
+    Field("max_workers", "int", default=8, minimum=1, maximum=256,
+          help="max concurrently processed requests (threads per process)"),
+    Field("drain_timeout", "float", default=10.0, minimum=0.01, maximum=3600.0,
+          help="seconds to wait for in-flight requests on SIGTERM"),
+)
+
+
+def _coerced(args, fields) -> dict:
+    """Each of ``fields`` given (or defaulted) in ``args``, typed and
+    bounded by its :class:`Field`, so a bad value names its flag."""
+    return {
+        field.name: field.coerce(getattr(args, field.name))
+        for field in fields
+        if getattr(args, field.name) is not None
+    }
 
 
 def _add_field(parser: argparse.ArgumentParser, field: Field) -> None:
@@ -175,7 +231,7 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    """``sweep``'s grid, deadline, store and output flags."""
+    """``sweep``'s grid, store and output flags."""
     parser.add_argument("job", help="job alias or dotted 'module:callable' path")
     parser.add_argument("--families", nargs="*", help="axis sugar: family keys")
     parser.add_argument("--sizes", type=int, nargs="*", help="axis sugar: sizes")
@@ -193,9 +249,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         action="append",
         metavar="KEY=VALUE",
         help="fixed spec entry shared by every cell (repeatable)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout (seconds)"
     )
     parser.add_argument(
         "--store", default=None, metavar="DIR",
@@ -474,8 +527,9 @@ def _grid_jobs(args) -> list:
 def _cmd_sweep(args) -> int:
     from repro.harness import ResultStore, canonical_json, local_executor, run_sweep
 
+    opts = _coerced(args, _SWEEP_FIELDS)
     jobs = _grid_jobs(args)
-    executor = local_executor(args.workers, args.timeout, args.retries)
+    executor = local_executor(opts["workers"], opts.get("timeout"), opts["retries"])
     store = ResultStore(args.store) if args.store else None
     with _traced(args, "cli.sweep"):
         sweep = run_sweep(
@@ -506,14 +560,11 @@ def _cmd_sweep(args) -> int:
         f"{sweep.num_retries} retries, {sweep.num_timeouts} timeouts"
         + (f"; store {sweep.store_stats}" if sweep.store_stats else "")
     )
-    coordinator = getattr(executor, "coordinator", None)
-    if coordinator is not None and (
-        coordinator.requeues or coordinator.respawns or coordinator.inline_cells
-    ):
+    pool = [getattr(executor, key, 0) for key in ("requeues", "respawns", "inline_cells")]
+    if any(pool):
         print(
-            f"fabric: {coordinator.requeues} leases re-queued, "
-            f"{coordinator.respawns} workers respawned, "
-            f"{coordinator.inline_cells} cells drained inline"
+            "fabric: {} cells re-queued, {} workers respawned, "
+            "{} cells run inline".format(*pool)
         )
     if args.out:
         from pathlib import Path
@@ -546,8 +597,9 @@ def _cmd_snapshot_build(args) -> int:
     from repro.fabric import build_snapshot
     from repro.harness import ResultStore, local_executor, run_sweep
 
+    workers = _SNAPSHOT_WORKERS.coerce(args.workers)
     jobs = _snapshot_grid(args)
-    executor = local_executor(args.workers)
+    executor = local_executor(workers)
     store = ResultStore(args.store) if args.store else None
     with _traced(args, "cli.snapshot_build"):
         sweep = run_sweep(
@@ -596,25 +648,21 @@ def _cmd_snapshot_info(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    if args.workers < 1:
-        raise SystemExit(f"error: --workers must be >= 1, got {args.workers}")
-    options = dict(
+    options = _coerced(args, _SERVE_FIELDS)
+    workers = options.pop("workers")
+    options.update(
         host=args.host,
         port=_PORT.coerce(args.port),
         store=args.store,
-        cache_size=args.cache_size,
-        ttl=args.ttl,
-        max_workers=args.max_workers,
         verbose=args.verbose,
-        drain_timeout=args.drain_timeout,
         trace=args.trace,
         snapshot=args.snapshot,
     )
-    if args.workers > 1:
+    if workers > 1:
         from repro.service.prefork import serve_prefork
 
         return serve_prefork(
-            workers=args.workers, metrics_dir=args.metrics_dir, **options
+            workers=workers, metrics_dir=args.metrics_dir, **options
         )
     # --workers 1 is byte-identical to the pre-prefork single process
     # path: same serve(), same defaults, same output.
@@ -628,11 +676,7 @@ def _cmd_loadtest(args) -> int:
 
     port = _PORT.coerce(args.port)
     mix_size = None if args.mix_size is None else _MIX_SIZE.coerce(args.mix_size)
-    load = {
-        field.name: field.coerce(getattr(args, field.name))
-        for field in _LOAD_FIELDS
-        if getattr(args, field.name) is not None
-    }
+    load = _coerced(args, _LOAD_FIELDS)
     try:
         mix = resolve_mix(
             args.mix, size=mix_size, cold_fraction=args.cold_fraction
@@ -770,21 +814,16 @@ def build_parser() -> argparse.ArgumentParser:
             "cached by content hash as it settles: every cell whose "
             "progress line printed is in the store, so rerunning an "
             "interrupted sweep with the same store executes only the rest. "
-            "--workers N > 1 fans cells out over N forked workers on the "
-            "work-queue fabric (docs/FABRIC.md) with bit-identical results. "
+            "--workers N > 1 fans cells out over N forked fabric workers "
+            "(docs/FABRIC.md) with bit-identical results; a worker that dies "
+            "costs a retry of its cell, not the sweep. "
             f"Registered job aliases: {', '.join(sorted(BUILTIN_JOBS))}; "
             "any 'module:callable' job function also works."
         ),
     )
     _add_grid_flags(sw)
-    sw.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = in this process; more fork fabric "
-        "workers)",
-    )
-    sw.add_argument(
-        "--retries", type=int, default=1, help="retries per transient failure"
-    )
+    for field in _SWEEP_FIELDS:
+        _add_field(sw, field)
     _add_trace_flag(sw)
     sw.set_defaults(fn=_cmd_sweep)
 
@@ -800,7 +839,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     snsub = sn.add_subparsers(dest="snapshot_command", required=True)
-    snb = snsub.add_parser("build", help="precompute a grid into a snapshot")
+    snb = snsub.add_parser(
+        "build",
+        help="precompute a grid into a snapshot",
+        description=(
+            "Run every catalog cell and the family x size x seed bandwidth "
+            "cells through the sweep harness on --workers forked fabric "
+            "workers, as 'repro sweep' runs them, and freeze the values "
+            "into one snapshot file.  With --store DIR an interrupted "
+            "build resumes from the store."
+        ),
+    )
     snb.add_argument(
         "--out", required=True, metavar="FILE", help="snapshot file to write"
     )
@@ -817,10 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bandwidth cell seeds 0..N-1",
     )
     _add_field(snb, OPERATIONS["bandwidth"].schema.fields["engine"])
-    snb.add_argument(
-        "--workers", type=int, default=4,
-        help="fabric workers (1 = compute serially in-process)",
-    )
+    _add_field(snb, _SNAPSHOT_WORKERS)
     snb.add_argument(
         "--store", default=None, metavar="DIR",
         help="result-store directory (reuses already-computed cells; an "
@@ -856,28 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="DIR",
         help="result-store directory (tier-2 cache, shared with sweeps)",
     )
-    sv.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="in-process LRU capacity (entries)",
-    )
-    sv.add_argument(
-        "--ttl", type=float, default=300.0,
-        help="in-process cache TTL (seconds)",
-    )
-    sv.add_argument(
-        "--max-workers", type=int, default=8,
-        help="max concurrently processed requests (threads per process)",
-    )
-    sv.add_argument(
-        "--workers", type=int, default=1,
-        help="worker *processes*; >1 starts the pre-fork tier (a master "
-        "reserves the port, workers share it via SO_REUSEPORT; see "
-        "docs/SERVICE.md)",
-    )
-    sv.add_argument(
-        "--drain-timeout", type=float, default=10.0, dest="drain_timeout",
-        help="seconds to wait for in-flight requests on SIGTERM",
-    )
+    for field in _SERVE_FIELDS:
+        _add_field(sv, field)
     sv.add_argument(
         "--metrics-dir", default=None, metavar="DIR", dest="metrics_dir",
         help="directory for per-worker metrics files in prefork mode "

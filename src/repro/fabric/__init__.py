@@ -1,22 +1,17 @@
-"""Distributed, resumable sweep fabric over the harness result store.
+"""The sweep fabric: a forked worker pool and catalog snapshots.
 
 The harness (:mod:`repro.harness`) runs cells in process; this package
 is its one parallel path (``run_sweep(executor="parallel")`` runs
-here).  It is a **work-queue execution fabric** in which a
-:class:`Coordinator` owns a durable on-disk queue of content-hashed job
-specs (:class:`~repro.fabric.queue.WorkQueue`) and independent
-:mod:`~repro.fabric.worker` processes *lease* cells from it --
-heartbeats keep a lease alive, a crashed worker's lease expires and the
-cell is re-leased with bounded attempts, and a killed-and-restarted
-coordinator resumes from the queue plus the
-:class:`~repro.harness.store.ResultStore` without recomputing finished
-cells.  Every coordination primitive is a file plus an atomic rename,
-so the protocol is host-agnostic: point workers on any machine at a
-shared queue directory and they cooperate.
+here).  :class:`FabricExecutor` forks a pool of workers, one pipe each,
+and hands every idle worker the next cell; a worker that dies is seen
+at once as end-of-file on its pipe, its cell is retried with bounded
+attempts and the worker is respawned.  Nothing is written to disk: the
+:class:`~repro.harness.store.ResultStore` a sweep writes as cells
+settle is what resumes an interrupted sweep.
 
 Correctness anchor: a fabric sweep is **bit-identical** to a serial
-sweep of the same grid (all randomness lives in job specs; completion
-is idempotent -- a cell computed twice writes the same bytes).
+sweep of the same grid (all randomness lives in job specs, and every
+worker runs the serial executor's job core).
 
 On top sits :class:`~repro.fabric.snapshot.CatalogSnapshot`: a
 read-optimized, versioned, checksummed single-file tier (sorted
@@ -30,33 +25,22 @@ import importlib
 __all__ = [
     "SNAPSHOT_MAGIC",
     "CatalogSnapshot",
-    "Coordinator",
     "FabricExecutor",
-    "Lease",
-    "QueueConfig",
     "SnapshotError",
-    "WorkQueue",
     "build_snapshot",
-    "worker_loop",
     "write_snapshot",
 ]
 
-# Exports resolve lazily (PEP 562) so ``python -m repro.fabric.worker``
-# -- the entry point a worker on another host runs -- does not import
-# the whole package (and hence the worker module itself) before runpy
-# executes it, which would trigger a double-import warning.
+# Exports resolve lazily (PEP 562), so the service's snapshot reader
+# does not import the executor's multiprocessing stack, nor a sweep the
+# snapshot code.
 _HOMES = {
-    "Coordinator": "coordinator",
-    "FabricExecutor": "coordinator",
-    "Lease": "queue",
-    "QueueConfig": "queue",
-    "WorkQueue": "queue",
+    "FabricExecutor": "pool",
     "SNAPSHOT_MAGIC": "snapshot",
     "CatalogSnapshot": "snapshot",
     "SnapshotError": "snapshot",
     "build_snapshot": "snapshot",
     "write_snapshot": "snapshot",
-    "worker_loop": "worker",
 }
 
 

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.harness.jobs import Job, TransientJobError, resolve_job
+from repro.harness.jobs import Job, TransientJobError, canonical_json, resolve_job
 from repro.obs import trace as obs
 
 __all__ = ["JobResult", "SerialExecutor"]
@@ -116,14 +116,22 @@ def _execute_job(fn: str, spec: dict, timeout: float | None) -> tuple[str, Any]:
     """Run one attempt of a job; return a tagged outcome.
 
     Tags: ``("ok", value)``, ``("transient", message)`` -- eligible for
-    retry -- or ``("error", message)`` for deterministic failures.
+    retry -- or ``("error", message)`` for deterministic failures.  A
+    value :func:`canonical_json` refuses (a NaN, a set) is a
+    deterministic failure: no store, snapshot or worker reply can hold
+    it.
     """
     try:
-        return "ok", _with_timeout(lambda: resolve_job(fn)(spec), timeout)
+        value = _with_timeout(lambda: resolve_job(fn)(spec), timeout)
     except TransientJobError as exc:
         return "transient", f"{type(exc).__name__}: {exc}"
     except Exception as exc:
         return "error", f"{type(exc).__name__}: {exc}"
+    try:
+        canonical_json(value)
+    except (TypeError, ValueError) as exc:
+        return "error", f"{type(exc).__name__}: job value is not canonical JSON: {exc}"
+    return "ok", value
 
 
 class SerialExecutor:

@@ -17,7 +17,7 @@ on the command line.
 
 ``executor`` also accepts a name -- ``"serial"``, ``"parallel"``, or
 ``"fabric"`` -- for callers that do not want to construct one.  Both
-multi-process names run on the leased work-queue fabric
+multi-process names run on the fabric's forked worker pool
 (:mod:`repro.fabric`, see ``docs/FABRIC.md``): there is one in-process
 path and one crash-safe parallel path.
 """

@@ -33,12 +33,14 @@ records (:meth:`~repro.service.metrics.ServiceMetrics.records`: counts
 and latency histogram buckets) to ``<metrics-dir>/worker-<pid>.json``
 (atomic rename).  ``GET /metrics`` on *any* worker then reports its own
 full snapshot **plus** a ``prefork`` section whose ``merged`` view adds
-every worker file ever written (dead workers' counts persist -- the
-merge is over the cluster's lifetime) and renders the sum as one
-process renders its own, percentiles included: histograms merge by
-adding bucket counts.  The master removes a metrics directory it
-created once its workers are reaped; a ``--metrics-dir`` the user named
-stays.
+every worker file this master's workers wrote (dead workers' counts
+persist -- the merge is over the master's lifetime) and renders the sum
+as one process renders its own, percentiles included: histograms merge
+by adding bucket counts.  A ``--metrics-dir`` the user named stays, but
+the master clears an earlier run's files from it before it forks.  The
+master removes a metrics directory it created once its workers are
+reaped; if the master is killed, its workers drain and the last one out
+removes the directory.
 """
 
 from __future__ import annotations
@@ -122,6 +124,11 @@ class MetricsDir:
     def publish_master(self, payload: dict[str, Any]) -> None:
         """Atomically replace ``master.json`` (pids/respawns)."""
         self._write("master.json", payload)
+
+    def remove(self, pattern: str = "worker-*.json") -> None:
+        """Delete ``master.json`` and the worker files ``pattern`` matches."""
+        for path in [self.root / "master.json", *self.root.glob(pattern)]:
+            path.unlink(missing_ok=True)
 
     def read_master(self) -> dict[str, Any] | None:
         """The master's last published record, or None before first
@@ -231,12 +238,18 @@ def _worker_main(
     port: int,
     workers: int,
     metrics_dir: MetricsDir,
+    own_metrics_dir: bool,
     master_pid: int,
     drain_timeout: float,
     server_kwargs: dict[str, Any],
     trace: str | None,
 ) -> int:
-    """Run one worker until SIGTERM (or master death); returns exit code."""
+    """Run one worker until SIGTERM (or master death); returns exit code.
+
+    ``own_metrics_dir``: the master made ``metrics_dir``, so a worker
+    draining because its master is gone removes its own file and
+    ``master.json``, then the directory if it was the last one out.
+    """
     from repro.obs import trace as obs
     from repro.service.server import create_server
 
@@ -269,9 +282,17 @@ def _worker_main(
     pub = threading.Thread(target=publisher, daemon=True)
     pub.start()
     stop.wait()
+    pub.join()
     drained = server.drain(timeout=drain_timeout)
     runner.join(timeout=drain_timeout)
-    state.publish(server.service)
+    if own_metrics_dir and os.getppid() != master_pid:
+        # Killed, the master never runs the finally that removes the
+        # directory it made, and nothing reads the files any more.
+        metrics_dir.remove(f"worker-{os.getpid()}.json")
+        with contextlib.suppress(OSError):  # another worker's file is left
+            metrics_dir.root.rmdir()
+    else:
+        state.publish(server.service)
     if trace:
         obs.disable()
     return 0 if drained else 1
@@ -350,6 +371,7 @@ def serve_prefork(
         if own_metrics_dir
         else metrics_dir
     )
+    mdir.remove()  # an earlier run's files would merge into this one's
     server_kwargs = dict(
         store=store,
         cache_size=cache_size,
@@ -364,6 +386,7 @@ def serve_prefork(
         port=bound_port,
         workers=workers,
         metrics_dir=mdir,
+        own_metrics_dir=own_metrics_dir,
         master_pid=os.getpid(),
         drain_timeout=drain_timeout,
         server_kwargs=server_kwargs,

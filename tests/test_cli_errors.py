@@ -112,6 +112,65 @@ def test_loadtest_bounds_name_the_flag(flags, name):
     assert message.startswith(f"error: parameter {name!r} must be in ")
 
 
+#: A job that records each call, so a test can tell no cell ran.
+CALLS: list[dict] = []
+
+
+def recording_job(spec: dict) -> dict:
+    CALLS.append(dict(spec))
+    return {"x": spec["x"]}
+
+
+SWEEP = ["sweep", "tests.test_cli_errors:recording_job", "--axis", "x=1,2"]
+
+#: Every numeric flag of ``sweep``, ``snapshot build`` and ``serve``,
+#: with an out-of-range value.  Each used to fail every cell
+#: (``--timeout -1``: ``[Errno 22] Invalid argument`` from setitimer;
+#: ``nan``: ``Invalid value NaN``), pass silently (``--retries -2``,
+#: ``--workers -3``), turn the memory tier off (``--cache-size -5``,
+#: ``--ttl -1``), never expire an entry (``--ttl nan``) or boot a server
+#: with no request threads (``--max-workers 0``).
+NUMERIC_FLAG_BOUNDS = [
+    ([*SWEEP, "--workers", "-3"], "workers"),
+    ([*SWEEP, "--workers", "257"], "workers"),
+    ([*SWEEP, "--retries", "-2"], "retries"),
+    ([*SWEEP, "--timeout", "-1"], "timeout"),
+    ([*SWEEP, "--timeout", "nan"], "timeout"),
+    (["snapshot", "build", "--out", "{tmp}/cells.snap", "--workers", "0"], "workers"),
+    (["serve", "--workers", "0"], "workers"),
+    (["serve", "--workers", "257"], "workers"),
+    (["serve", "--cache-size", "-5"], "cache_size"),
+    (["serve", "--ttl", "-1"], "ttl"),
+    (["serve", "--ttl", "nan"], "ttl"),
+    (["serve", "--max-workers", "0"], "max_workers"),
+    (["serve", "--drain-timeout", "-1"], "drain_timeout"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name", NUMERIC_FLAG_BOUNDS,
+    ids=[" ".join(a[-3:]) for a, _ in NUMERIC_FLAG_BOUNDS],
+)
+def test_numeric_flag_bounds_name_the_flag(argv, name, tmp_path):
+    """Checked before any cell runs, any process forks or any port
+    binds: ``serve`` is pointed at a port already taken, which it would
+    otherwise report, and the snapshot file is never written."""
+    argv = [word.replace("{tmp}", str(tmp_path)) for word in argv]
+    CALLS.clear()
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        if argv[0] == "serve":
+            argv += ["--port", str(holder.getsockname()[1])]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"error: parameter {name!r} must be in ")
+    assert CALLS == []
+    assert not (tmp_path / "cells.snap").exists()
+
+
 def _assert_clean_family_error(argv: list[str]) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(argv)

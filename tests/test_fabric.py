@@ -1,25 +1,29 @@
-"""Tests for the sweep fabric: queue protocol, failure modes, snapshots.
+"""Tests for the sweep fabric: the forked worker pool, its failure
+modes, and catalog snapshots.
 
 The failure-mode tests stage real crashes -- ``SIGKILL`` of a forked
-worker mid-job, a coordinator "restart" as a brand-new object on the
-same queue directory -- and assert the fabric's two contracts:
+worker mid-cell, cells that kill every worker that runs them -- and
+assert the fabric's contracts:
 
 * **bit-identity**: a fabric sweep equals a serial sweep of the same
   grid, byte for byte, no matter what died along the way;
-* **no recompute**: cells settled before a crash are never executed
-  again (their result files are untouched, mtime and bytes).
+* **a death costs a retry, not a timeout**: the pool sees a dead worker
+  at once as end-of-file on its pipe, retries its cell and respawns it;
+* **nothing on disk**: the pool writes nothing under ``TMPDIR``.
 
-Job functions live at module level so workers (separate processes) can
-import them as ``tests.test_fabric:<name>``.
+Job functions live at module level so the forked workers can resolve
+them as ``tests.test_fabric:<name>``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -28,17 +32,16 @@ import pytest
 
 from repro.fabric import (
     CatalogSnapshot,
-    Coordinator,
     FabricExecutor,
-    QueueConfig,
     SnapshotError,
-    WorkQueue,
     build_snapshot,
-    worker_loop,
     write_snapshot,
 )
+from repro.fabric.pool import _Run
 from repro.harness import (
     Job,
+    ResultStore,
+    SerialExecutor,
     TransientJobError,
     canonical_json,
     default_salt,
@@ -47,7 +50,7 @@ from repro.harness import (
 from repro.obs import MemorySink
 from repro.obs import trace as obs
 
-# -- job functions (imported by worker subprocesses) -------------------------
+# -- job functions (resolved by the forked workers) --------------------------
 
 
 def double_job(spec):
@@ -56,7 +59,10 @@ def double_job(spec):
 
 
 def sleepy_job(spec):
-    """Deterministic cell that holds its lease for ``sleep`` seconds."""
+    """Deterministic cell that holds its worker for ``sleep`` seconds,
+    after leaving the marker ``<x>-<pid>`` in ``scratch`` (when given)."""
+    if "scratch" in spec:
+        Path(spec["scratch"], f"{spec['x']}-{os.getpid()}").touch()
     time.sleep(spec["sleep"])
     return {"x": spec["x"], "squared": spec["x"] ** 2}
 
@@ -80,6 +86,11 @@ def broken_job(spec):
     raise ValueError("bad spec, every time")
 
 
+def nan_job(spec):
+    """Returns a value canonical JSON refuses."""
+    return {"x": math.nan}
+
+
 #: The process that imported this module.
 _IMPORTED_BY = os.getpid()
 
@@ -89,144 +100,16 @@ def importer_pid_job(spec):
     return {"imported_by": _IMPORTED_BY, "runs_in": os.getpid()}
 
 
+def worker_killing_job(spec):
+    """Kills any process but ``spec["home"]`` that runs it: a cell that
+    takes its fabric worker down, every attempt, but runs inline."""
+    if os.getpid() != spec["home"]:
+        os._exit(3)
+    return double_job(spec)
+
+
 def _grid(n, fn="tests.test_fabric:double_job"):
     return [Job(fn, {"x": i}) for i in range(n)]
-
-
-# -- the queue protocol ------------------------------------------------------
-
-
-class TestWorkQueue:
-    def test_add_is_idempotent(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        job = Job("tests.test_fabric:double_job", {"x": 1})
-        assert queue.add(job) is True
-        assert queue.add(job) is False
-        assert queue.counts()["jobs"] == 1
-        assert queue.counts()["pending"] == 1
-
-    def test_claim_moves_exactly_one_cell(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        for job in _grid(2):
-            queue.add(job)
-        lease = queue.claim("w1")
-        assert lease is not None and lease.attempts == 1
-        counts = queue.counts()
-        assert counts["pending"] == 1 and counts["leased"] == 1
-        other = queue.claim("w2")
-        assert other is not None and other.job_hash != lease.job_hash
-        assert queue.claim("w3") is None
-
-    def test_complete_settles_and_is_idempotent(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.add(_grid(1)[0])
-        lease = queue.claim("w1")
-        queue.complete(lease, {"v": 1}, seconds=0.5)
-        queue.complete(lease, {"v": 1}, seconds=0.7)  # slow duplicate
-        assert queue.counts()["done"] == 1
-        assert queue.unsettled() == 0
-        payload = queue.result(lease.job_hash)
-        assert payload["value"] == {"v": 1} and payload["worker"] == "w1"
-
-    def test_heartbeat_reports_revocation(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.add(_grid(1)[0])
-        lease = queue.claim("w1")
-        assert queue.heartbeat(lease) is True
-        (queue.leases_dir / lease.job_hash).unlink()  # coordinator revoked it
-        assert queue.heartbeat(lease) is False
-
-    def test_expire_stale_requeues_with_attempts_preserved(self, tmp_path):
-        config = QueueConfig(lease_ttl=5.0, max_attempts=3)
-        queue = WorkQueue(tmp_path / "q", config=config)
-        queue.add(_grid(1)[0])
-        lease = queue.claim("w1")
-        assert queue.expire_stale() == []  # fresh heartbeat survives
-        expired = queue.expire_stale(now=time.time() + 6.0)
-        assert expired == [(lease.job_hash, "requeued")]
-        release = queue.claim("w2")
-        assert release.attempts == 2
-
-    def test_mid_claim_lease_ages_from_the_claim(self, tmp_path, monkeypatch):
-        """Until a claim writes its lease, the lease file is the renamed
-        pending marker (no heartbeat): it must age from the claim, not
-        from the enqueue, or a healthy claim is re-queued."""
-        import repro.fabric.queue as queue_module
-
-        queue = WorkQueue(tmp_path / "q", config=QueueConfig(lease_ttl=5.0))
-        job = _grid(1)[0]
-        queue.add(job)
-        enqueued = time.time() - 60.0
-        os.utime(queue.pending_dir / job.job_hash, (enqueued, enqueued))
-
-        class Died(Exception):
-            pass
-
-        def die(path, text):  # the claimer stops right after its rename
-            raise Died
-
-        monkeypatch.setattr(queue_module, "_write_atomic", die)
-        with pytest.raises(Died):
-            queue.claim("w1")
-        monkeypatch.undo()
-        assert (queue.leases_dir / job.job_hash).exists()
-        assert queue.expire_stale() == []
-        expired = queue.expire_stale(now=time.time() + 6.0)
-        assert expired == [(job.job_hash, "requeued")]
-
-    def test_expire_stale_fails_terminally_past_budget(self, tmp_path):
-        config = QueueConfig(lease_ttl=1.0, max_attempts=1)
-        queue = WorkQueue(tmp_path / "q", config=config)
-        queue.add(_grid(1)[0])
-        lease = queue.claim("w1")
-        expired = queue.expire_stale(now=time.time() + 2.0)
-        assert expired == [(lease.job_hash, "failed")]
-        failure = queue.failure(lease.job_hash)
-        assert "lease lost" in failure["error"]
-        assert queue.unsettled() == 0
-
-    def test_claim_skips_already_settled_cells(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        job = _grid(1)[0]
-        queue.add(job)
-        lease = queue.claim("w1")
-        queue.complete(lease, {"v": 1})
-        # A stray pending marker (e.g. re-queued just before the slow
-        # worker completed) must be settled, not recomputed.
-        (queue.pending_dir / job.job_hash).write_text('{"attempts": 1}')
-        assert queue.claim("w2") is None
-        assert queue.counts()["pending"] == 0
-
-    def test_config_round_trips_through_directory(self, tmp_path):
-        config = QueueConfig(lease_ttl=7.5, max_attempts=5)
-        WorkQueue(tmp_path / "q", config=config)
-        reopened = WorkQueue(tmp_path / "q")  # a worker, config-less
-        assert reopened.config == config
-
-    def test_leftover_temp_files_are_not_cells(self, tmp_path):
-        """A writer killed inside an atomic write leaves its ``.tmp``
-        file; counting it would end a drain early or claim a non-cell."""
-        queue = WorkQueue(tmp_path / "q")
-        job = _grid(1)[0]
-        queue.add(job)
-        queue.seal()
-        for directory in (queue.jobs_dir, queue.pending_dir, queue.results_dir):
-            (directory / "tmpk3x9z1q0.tmp").write_text("{")
-        assert queue.counts() == {
-            "jobs": 1, "pending": 1, "leased": 0, "done": 0, "failed": 0,
-        }
-        lease = queue.claim("w1")
-        assert lease.job_hash == job.job_hash
-        assert queue.claim("w2") is None
-        assert not queue.drained()
-        queue.complete(lease, {"v": 1})
-        assert queue.drained()
-
-    def test_drained_requires_seal(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        assert not queue.drained()  # nothing enqueued, but not sealed
-        queue.seal()
-        assert queue.drained()
 
 
 # -- fabric sweeps: bit-identity and the executor protocol -------------------
@@ -250,8 +133,6 @@ class TestFabricSweep:
         assert sweep.values == run_sweep(jobs).values
 
     def test_store_backed_fabric_sweep_resumes(self, tmp_path):
-        from repro.harness import ResultStore
-
         jobs = _grid(6)
         store = ResultStore(tmp_path / "store")
         first = run_sweep(jobs, executor=FabricExecutor(num_workers=2),
@@ -263,23 +144,73 @@ class TestFabricSweep:
         assert canonical_json(second.values) == canonical_json(first.values)
 
     def test_each_result_is_read_once_and_streamed_once(self, monkeypatch):
+        """Each worker reply is read once, and each cell streamed once:
+        the results returned are the objects streamed."""
         reads = []
-        read = WorkQueue.result
+        record = _Run.record
 
-        def counted(queue, job_hash):
-            reads.append(job_hash)
-            return read(queue, job_hash)
+        def counted(run, index, *reply):
+            reads.append(index)
+            return record(run, index, *reply)
 
-        monkeypatch.setattr(WorkQueue, "result", counted)
+        monkeypatch.setattr(_Run, "record", counted)
         jobs = _grid(20)
         streamed = []
         results = FabricExecutor(num_workers=2).run(jobs, on_result=streamed.append)
-        hashes = sorted(job.job_hash for job in jobs)
-        assert sorted(reads) == hashes
-        assert sorted(r.job.job_hash for r in streamed) == hashes
+        assert sorted(reads) == list(range(20))
+        assert sorted(r.job.job_hash for r in streamed) == sorted(
+            job.job_hash for job in jobs
+        )
         assert [r.job for r in results] == jobs
         by_hash = {r.job.job_hash: r for r in streamed}
         assert all(by_hash[r.job.job_hash] is r for r in results)
+
+    @pytest.mark.parametrize("executor", ["serial", "fabric"])
+    def test_a_repeated_job_runs_and_streams_per_position(self, executor):
+        """Cells are tracked by position, as ``SerialExecutor`` tracks
+        them: a grid holding one job twice returns and streams it twice."""
+        jobs = [Job("measure_bandwidth", {"family": "ring", "size": size})
+                for size in (8, 8, 10)]
+        run = SerialExecutor() if executor == "serial" else FabricExecutor(2)
+        streamed = []
+        results = run.run(jobs, on_result=streamed.append)
+        assert len(streamed) == 3
+        assert sorted(map(id, streamed)) == sorted(map(id, results))
+        assert results[0] is not results[1]
+        assert [r.job for r in results] == jobs
+        assert results[0].value == results[1].value != results[2].value
+
+    def test_a_sweep_writes_nothing_under_tmpdir(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        seen = []
+
+        def look(result):
+            seen.append(sorted(p.name for p in scratch.iterdir()))
+
+        results = FabricExecutor(num_workers=2).run(_grid(4), on_result=look)
+        assert all(r.ok for r in results)
+        assert seen == [[]] * 4
+        assert list(scratch.iterdir()) == []
+
+    def test_a_value_canonical_json_refuses_fails_at_once(self, tmp_path):
+        """One message on every executor and with a store, no retry, no
+        worker death, and nothing stored."""
+        jobs = [Job("tests.test_fabric:nan_job", {"x": 0}), *_grid(1)]
+        t0 = time.monotonic()
+        serial = run_sweep(jobs)
+        fabric = run_sweep(jobs, executor=FabricExecutor(num_workers=2))
+        store = ResultStore(tmp_path / "store")
+        stored = run_sweep(jobs, store=store)
+        assert time.monotonic() - t0 < 10.0
+        errors = {sweep.results[0].error for sweep in (serial, fabric, stored)}
+        assert len(errors) == 1
+        (error,) = errors
+        assert error.startswith("ValueError: job value is not canonical JSON: ")
+        assert [sweep.results[0].attempts for sweep in (serial, fabric, stored)] == [1] * 3
+        assert all(sweep.results[1].ok for sweep in (serial, fabric, stored))
+        assert len(store) == 1
 
     def test_transient_failure_retries_to_success(self, tmp_path):
         jobs = [
@@ -289,23 +220,14 @@ class TestFabricSweep:
             )
             for i in range(3)
         ]
-        sweep = run_sweep(
-            jobs,
-            executor=FabricExecutor(
-                num_workers=1, heartbeat_interval=0.1, poll_interval=0.02
-            ),
-        )
+        sweep = run_sweep(jobs, executor=FabricExecutor(num_workers=1))
         assert sweep.ok
         assert all(r.attempts == 2 for r in sweep.results)
 
     def test_attempt_budget_exhaustion_fails_terminally(self):
         jobs = [Job("tests.test_fabric:always_transient_job", {"x": 0})]
         sweep = run_sweep(
-            jobs,
-            executor=FabricExecutor(
-                num_workers=1, max_attempts=2, heartbeat_interval=0.1,
-                poll_interval=0.02,
-            ),
+            jobs, executor=FabricExecutor(num_workers=1, max_attempts=2)
         )
         result = sweep.results[0]
         assert not result.ok
@@ -383,112 +305,92 @@ class TestForkInheritance:
 
 # -- failure modes: crashes mid-run ------------------------------------------
 
+SLEEPY = "tests.test_fabric:sleepy_job"
+KILLER = "tests.test_fabric:worker_killing_job"
+
+
+def _sleepy_grid(scratch: Path | None = None, sleep: float = 0.3) -> list[Job]:
+    """Eight cells of ``sleep`` seconds; with ``scratch``, each marks
+    where it runs.  Their values depend on neither."""
+    extra = {} if scratch is None else {"scratch": str(scratch)}
+    return [Job(SLEEPY, {"x": i, "sleep": sleep, **extra}) for i in range(8)]
+
+
+def _kill_a_worker_mid_cell(executor: FabricExecutor, scratch: Path):
+    """Run :func:`_sleepy_grid` on ``executor`` in a thread and SIGKILL
+    the worker that starts the first cell.  Returns the results, that
+    cell's position and the seconds from the kill to the end of the run."""
+    box = {}
+    runner = threading.Thread(
+        target=lambda: box.setdefault("results", executor.run(_sleepy_grid(scratch)))
+    )
+    runner.start()
+    deadline = time.monotonic() + 30.0
+    markers = []
+    while not markers and time.monotonic() < deadline:
+        markers = sorted(p.name for p in scratch.iterdir())
+        time.sleep(0.01)
+    assert markers, "no worker ever started a cell"
+    cell, pid = map(int, markers[0].split("-"))
+    os.kill(pid, signal.SIGKILL)
+    killed = time.monotonic()
+    runner.join(timeout=60.0)
+    assert not runner.is_alive(), "fabric wedged after a worker SIGKILL"
+    return box["results"], cell, time.monotonic() - killed
+
 
 class TestFabricCrashes:
-    def test_worker_sigkill_mid_job_lease_requeues_bit_identical(
-        self, tmp_path
-    ):
-        jobs = [
-            Job("tests.test_fabric:sleepy_job", {"x": i, "sleep": 0.3})
-            for i in range(8)
+    def test_worker_sigkill_mid_job_lease_requeues_bit_identical(self, tmp_path):
+        """The killed worker's cell is re-queued at once and the worker
+        respawned; the sweep equals a serial one."""
+        serial = run_sweep(_sleepy_grid(sleep=0.0))
+        executor = FabricExecutor(num_workers=2)
+        sink = MemorySink()
+        with obs.tracing(sink=sink):
+            results, cell, _ = _kill_a_worker_mid_cell(executor, tmp_path)
+        assert all(r.ok for r in results)
+        assert canonical_json([r.value for r in results]) == canonical_json(
+            serial.values
+        )
+        assert (executor.requeues, executor.respawns, executor.inline_cells) == (1, 1, 0)
+        events = [e for e in sink.events if e.get("type") == "event"]
+        exited = [e for e in events if e["name"] == "fabric.worker_exited"]
+        assert [e["returncode"] for e in exited] == [-signal.SIGKILL]
+        requeued = [e for e in events if e["name"] == "fabric.requeue"]
+        assert requeued == [
+            dict(requeued[0], hash=results[cell].job.job_hash[:12],
+                 disposition="requeued")
         ]
-        serial = run_sweep(jobs)
-        config = QueueConfig(
-            lease_ttl=0.6, heartbeat_interval=0.1, poll_interval=0.02
-        )
-        queue = WorkQueue(tmp_path / "q", config=config)
-        coordinator = Coordinator(queue, num_workers=2)
-        box = {}
-        runner = threading.Thread(
-            target=lambda: box.setdefault("results", coordinator.run(jobs))
-        )
-        runner.start()
-        # Wait for a worker to be holding a lease, then SIGKILL it
-        # mid-job: its lease must expire and the cell re-lease.
-        deadline = time.monotonic() + 30.0
-        victim = None
-        while time.monotonic() < deadline:
-            if coordinator.workers and queue.counts()["leased"] > 0:
-                victim = coordinator.workers[0]
-                break
-            time.sleep(0.02)
-        assert victim is not None, "no worker ever held a lease"
-        os.kill(victim.pid, signal.SIGKILL)
-        runner.join(timeout=60.0)
-        assert not runner.is_alive(), "fabric wedged after worker SIGKILL"
-        results = box["results"]
-        assert all(r.ok for r in results)
+        spawned = [e for e in events if e["name"] == "fabric.worker_spawned"]
+        assert len(spawned) == 3
+
+    def test_a_sigkilled_worker_costs_a_retry_not_a_lease_ttl(self, tmp_path):
+        """With default settings the sweep ends within seconds of the
+        kill, and the killed cell took two attempts."""
+        results, cell, after = _kill_a_worker_mid_cell(FabricExecutor(2), tmp_path)
+        assert after < 5.0
+        assert results[cell].ok and results[cell].attempts == 2
         assert canonical_json([r.value for r in results]) == canonical_json(
-            serial.values
+            run_sweep(_sleepy_grid(sleep=0.0)).values
         )
 
-    def test_coordinator_restart_completes_without_recompute(self, tmp_path):
-        jobs = _grid(12)
-        serial = run_sweep(jobs)
-        queue = WorkQueue(tmp_path / "q")
-        first = Coordinator(queue, num_workers=2)
-        first.enqueue(jobs)
-        queue.seal()
-        # Stage partial progress, then "crash" (first is simply dropped:
-        # it holds no state the directory doesn't).
-        settled = worker_loop(str(queue.root), worker_id="pre-crash",
-                              max_jobs=5)
-        assert settled == 5
-        before = {
-            p.name: (p.stat().st_mtime_ns, p.read_bytes())
-            for p in queue.results_dir.iterdir()
-        }
-        assert len(before) == 5
+    def test_inline_drain_when_no_workers_available(self):
+        """Cells that kill every worker: once the respawn budget
+        (``num_workers``) is spent, the rest run in this process."""
+        jobs = [Job(KILLER, {"x": i, "home": os.getpid()}) for i in range(4)]
+        executor = FabricExecutor(num_workers=1)
+        results = executor.run(jobs)
+        assert [r.value for r in results] == [double_job(j.spec) for j in jobs]
+        assert (executor.requeues, executor.respawns, executor.inline_cells) == (2, 1, 4)
+        assert [r.attempts for r in results] == [3, 1, 1, 1]
+        assert {r.worker for r in results} == {"fabric:inline"}
 
-        second = Coordinator(WorkQueue(tmp_path / "q"), num_workers=2)
-        results = second.run(jobs)
-        assert all(r.ok for r in results)
-        assert canonical_json([r.value for r in results]) == canonical_json(
-            serial.values
-        )
-        after = {
-            p.name: (p.stat().st_mtime_ns, p.read_bytes())
-            for p in queue.results_dir.iterdir()
-        }
-        assert len(after) == 12
-        for name, stamp in before.items():
-            assert after[name] == stamp, f"settled cell {name} was recomputed"
-
-    def test_inline_drain_when_no_workers_available(self, tmp_path):
-        jobs = _grid(4)
-        queue = WorkQueue(tmp_path / "q")
-        coordinator = Coordinator(queue, num_workers=1, respawn_budget=0)
-        coordinator.enqueue(jobs)
-        queue.seal()
-        # No spawn(): zero workers and a spent respawn budget must
-        # degrade to inline execution rather than wedging.
-        assert coordinator.wait(jobs) is True
-        assert coordinator.inline_cells == len(jobs)
-        assert queue.unsettled() == 0
-        values = [queue.result(j.job_hash)["value"] for j in jobs]
-        assert values == [double_job(j.spec) for j in jobs]
-
-
-class TestStandaloneWorker:
-    def test_module_entry_point_drains_a_shared_queue(self, tmp_path):
-        """``python -m repro.fabric.worker`` -- what a worker on another
-        host runs -- needs nothing but the queue directory."""
-        jobs = _grid(6)
-        queue = WorkQueue(tmp_path / "q")
-        for job in jobs:
-            queue.add(job)
-        queue.seal()
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.fabric.worker", str(queue.root),
-             "--worker-id", "remote"],
-            env=env, timeout=120,
-        )
-        assert proc.returncode == 0
-        assert queue.drained()
-        results = [queue.result(j.job_hash) for j in jobs]
-        assert [r["value"] for r in results] == [double_job(j.spec) for j in jobs]
-        assert {r["worker"] for r in results} == {"remote"}
+    def test_a_cell_that_kills_every_worker_fails_after_max_attempts(self):
+        executor = FabricExecutor(num_workers=2, max_attempts=2)
+        (result,) = executor.run([Job(KILLER, {"x": 0, "home": -1})])
+        assert result.error == "worker w2 died (exit code 3) on attempt 2"
+        assert result.attempts == 2
+        assert (executor.requeues, executor.respawns, executor.inline_cells) == (1, 1, 0)
 
 
 # -- snapshots ---------------------------------------------------------------

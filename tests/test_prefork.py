@@ -11,7 +11,8 @@ port from its boot line, and exercise the contract:
 * merged ``/metrics`` counters and latency histograms across worker
   files equal exactly the number of requests the client sent;
 * the master removes the metrics directory it made, and keeps one the
-  user named;
+  user named, cleared of an earlier run's files;
+* a SIGKILLed master's workers drain and remove the directory it made;
 * ``--workers 1`` takes the pre-existing single-process path.
 
 ``REPRO_SERVICE_DEBUG=1`` enables the ``/debug/sleep`` endpoint so the
@@ -57,6 +58,15 @@ def _get(port: int, path: str, timeout: float = 10.0) -> tuple[int, dict]:
         return resp.status, json.loads(resp.read().decode("utf-8"))
     finally:
         conn.close()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in "XZ"
 
 
 def _get_retry(port: int, path: str, attempts: int = 50) -> dict:
@@ -155,6 +165,57 @@ class TestLifecycle:
             assert list(scratch.iterdir()) == []
         finally:
             master.kill()
+
+    def test_a_reused_metrics_dir_merges_only_this_run(self, tmp_path):
+        """A named ``--metrics-dir`` keeps its files after a run; the next
+        master clears them before it forks, so its merge counts only its
+        own requests (the earlier run's worker files made 4 requests read
+        as 9 across 4 workers)."""
+        for _ in range(2):
+            master = _Master(tmp_path, workers=2)
+            try:
+                sent = 1  # the constructor's readiness probe
+                for _ in range(3):
+                    _get_retry(master.port, "/healthz")
+                    sent += 1
+                time.sleep(0.8)  # every worker's publisher ticks
+                status, metrics = _get(master.port, "/metrics")
+                assert status == 200
+                merged = metrics["prefork"]["merged"]
+                assert merged["requests"] == sent, merged
+                assert merged["workers_seen"] <= 2, merged
+                master.terminate(expect_code=0)
+            finally:
+                master.kill()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_sigkilled_master_leaves_no_metrics_dir(self, tmp_path):
+        """Killed, the master never removes the directory it made: its
+        workers drain, each deletes its own file and ``master.json``, and
+        the last one out removes the directory."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        master = _Master(tmp_path, workers=2, tmpdir=scratch)
+        (mdir,) = scratch.iterdir()
+        pids = json.loads((mdir / "master.json").read_text())["pids"]
+        try:
+            master.proc.kill()
+            killed = time.monotonic()
+            # The workers share the master's output pipe: it ends when
+            # they exit.
+            out, _ = master.proc.communicate(timeout=10)
+            while time.monotonic() - killed < 5.0 and (
+                any(map(_running, pids)) or any(scratch.iterdir())
+            ):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+            assert list(scratch.iterdir()) == []
+            assert "Traceback" not in out, out
+        finally:
+            master.kill()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_sigkill_worker_respawns_no_dropped_listener(self, tmp_path):
         master = _Master(tmp_path, workers=2)
