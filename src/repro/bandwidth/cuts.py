@@ -3,16 +3,17 @@
 The classic flux argument: at most one message crosses each cut link per
 tick, and under symmetric traffic about half of all messages must cross
 a balanced cut, so ``beta(M) <= O(bisection(M))``.  Exact bisection is
-NP-hard; :func:`bisection_width_upper` returns the best *balanced*
-candidate cut found (spectral sweep + Kernighan-Lin refinement), which
+NP-hard; :func:`bisection_width_upper` returns the best *balanced* cut
+found (the machine's cut profile, then Kernighan-Lin refinement), which
 upper-bounds the true bisection width.
 """
 
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
-from repro.embedding.lower_bounds import candidate_cuts, cut_edges
+from repro.embedding.lower_bounds import cut_edges, cut_profile, prefix_side
 from repro.topologies.base import Machine
 
 __all__ = ["bisection_width_upper", "flux_beta_upper"]
@@ -22,34 +23,28 @@ def bisection_width_upper(machine: Machine) -> int:
     """Size of the best balanced cut found (>= true bisection width).
 
     Balanced means both sides have at least ``n // 3`` vertices (the
-    1/3-2/3 convention).  Candidates come from the shared cut family;
-    up to n = 4096, one Kernighan-Lin pass refines the best one.
+    1/3-2/3 convention).  The fewest links over the balanced sizes of
+    the cut profile is the start; up to n = 4096, one Kernighan-Lin
+    pass refines the side that reaches it.
     """
     n = machine.num_nodes
-    best_side: set[int] | None = None
-    best = None
-    for side in candidate_cuts(machine):
-        if min(len(side), n - len(side)) < n // 3:
-            continue
-        c = cut_edges(machine, side)
-        if best is None or c < best:
-            best, best_side = c, side
-    if best_side is None:
-        # Fall back to a halved vertex ordering.
-        best_side = set(range(n // 2))
-        best = cut_edges(machine, best_side)
+    if n < 2:
+        return 0
+    lo = max(1, n // 3)
+    sizes = np.arange(lo, n - lo + 1)
+    links = cut_profile(machine).min_cut[sizes]
+    # The fewest links; among equals, the side nearest n / 2.
+    p = int(sizes[np.lexsort((np.abs(2 * sizes - n), links))[0]])
+    side = prefix_side(machine, p)
+    best = cut_edges(machine, side)
     if n <= 4096:
-        try:
-            part = nx.algorithms.community.kernighan_lin_bisection(
-                machine.graph,
-                partition=(best_side, set(machine.graph.nodes()) - best_side),
-                max_iter=4,
-                seed=0,
-            )
-            refined = cut_edges(machine, set(part[0]))
-            best = min(best, refined)
-        except Exception:
-            pass
+        part = nx.algorithms.community.kernighan_lin_bisection(
+            machine.graph,
+            partition=(side, set(machine.graph.nodes()) - side),
+            max_iter=4,
+            seed=0,
+        )
+        best = min(best, cut_edges(machine, set(part[0])))
     return int(best)
 
 
@@ -60,7 +55,7 @@ def flux_beta_upper(machine: Machine) -> float:
     messages per tick, and a symmetric batch of ``m`` messages sends at
     least ``~m/2`` across it, so the delivery rate is at most ``~2w``.
     (Uses the *upper* bisection estimate, so this is a heuristic upper
-    bound -- rigorous whenever the candidate family contains a true
-    bisector, which it does for every structured family in the registry.)
+    bound -- rigorous whenever the cut profile's sweeps contain a true
+    bisector, which they do for every structured family in the registry.)
     """
     return 2.0 * bisection_width_upper(machine)

@@ -7,14 +7,18 @@ tighter certified lower bound on the integral optimum (fractional <=
 integral) and lets the ablation bench quantify how much the cut family
 leaves on the table.
 
-Formulation (multicommodity flow, one commodity per traffic pair):
+Formulation (multicommodity flow, one commodity per traffic source:
+the pairs ``(u, v)`` with ``u < v`` that share ``u`` ship together, which
+has the same optimum because a single-source flow decomposes into one
+path flow per sink):
 
     minimise z
-    s.t.  for each commodity k:   flow conservation with demand w_k
-          for each undirected link e:  sum_k (f_k(e->) + f_k(e<-)) <= z
+    s.t.  for each commodity s:   flow conservation, w(s, v) units
+                                  out of s into each v
+          for each undirected link e:  sum_s (f_s(e->) + f_s(e<-)) <= z
 
 Variables: per-commodity flows on directed links, plus z; solved with
-``scipy.optimize.linprog`` (HiGHS).  Problem size is (pairs * 2E + 1)
+``scipy.optimize.linprog`` (HiGHS).  Problem size is (sources * 2E + 1)
 variables, so this is for small instances (the ablation uses n <= 36);
 ``max_pairs`` guards against accidental K_n-sized calls.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import lil_matrix
+from scipy.sparse import coo_array
 
 from repro.topologies.base import Machine
 from repro.traffic.multigraph import TrafficMultigraph
@@ -58,53 +62,61 @@ def lp_min_congestion(
             "use the cut bounds for large instances"
         )
 
-    edges = list(machine.graph.edges())
+    edges = np.array(list(machine.graph.edges()), dtype=np.int64).reshape(-1, 2)
     ne = len(edges)
-    k = len(pairs)
+    src, dst, weight = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    sources, commodity = np.unique(src, return_inverse=True)
+    k = len(sources)
     # Variable layout: for commodity i, directed flows f[i, e, dir] at
-    # offset i * 2 * ne + 2*e + dir; z is the last variable.
+    # offset i * 2 * ne + 2*e + dir (dir 0: u -> v, dir 1: v -> u); z is
+    # the last variable.
     nvars = k * 2 * ne + 1
-    z_col = nvars - 1
+    fwd = (np.arange(k)[:, None] * 2 * ne + 2 * np.arange(ne)[None, :]).ravel()
+    node_row = (np.arange(k)[:, None] * n).repeat(ne, axis=1).ravel()
+    u = np.tile(edges[:, 0], k) + node_row
+    v = np.tile(edges[:, 1], k) + node_row
 
     # Equality constraints: conservation at every node for every
-    # commodity (rows: k * n).
-    a_eq = lil_matrix((k * n, nvars))
+    # commodity (rows: k * n), inflow minus outflow.
+    a_eq = coo_array(
+        (
+            np.repeat([-1.0, 1.0, -1.0, 1.0], len(fwd)),
+            (np.concatenate([u, v, v, u]), np.concatenate([fwd, fwd, fwd + 1, fwd + 1])),
+        ),
+        shape=(k * n, nvars),
+    ).tocsr()
     b_eq = np.zeros(k * n)
-    for i, (s, t, w) in enumerate(pairs):
-        base = i * 2 * ne
-        for e, (u, v) in enumerate(edges):
-            # dir 0: u -> v, dir 1: v -> u
-            a_eq[i * n + u, base + 2 * e] -= 1  # leaves u
-            a_eq[i * n + v, base + 2 * e] += 1  # enters v
-            a_eq[i * n + v, base + 2 * e + 1] -= 1
-            a_eq[i * n + u, base + 2 * e + 1] += 1
-        b_eq[i * n + s] = -w  # net outflow w at source
-        b_eq[i * n + t] = w  # net inflow w at sink
+    np.add.at(b_eq, commodity * n + src, -weight)  # net outflow at the source
+    np.add.at(b_eq, commodity * n + dst, weight)  # net inflow at each sink
 
     # Inequalities: per undirected link, total flow <= z.
-    a_ub = lil_matrix((ne, nvars))
-    for e in range(ne):
-        for i in range(k):
-            base = i * 2 * ne
-            a_ub[e, base + 2 * e] = 1
-            a_ub[e, base + 2 * e + 1] = 1
-        a_ub[e, z_col] = -1
+    link = np.tile(np.arange(ne), k)
+    a_ub = coo_array(
+        (
+            np.concatenate([np.ones(2 * len(fwd)), -np.ones(ne)]),
+            (
+                np.concatenate([link, link, np.arange(ne)]),
+                np.concatenate([fwd, fwd + 1, np.full(ne, nvars - 1)]),
+            ),
+        ),
+        shape=(ne, nvars),
+    ).tocsr()
     b_ub = np.zeros(ne)
 
     c = np.zeros(nvars)
-    c[z_col] = 1.0
+    c[nvars - 1] = 1.0
     res = linprog(
         c,
-        A_ub=a_ub.tocsr(),
+        A_ub=a_ub,
         b_ub=b_ub,
-        A_eq=a_eq.tocsr(),
+        A_eq=a_eq,
         b_eq=b_eq,
         bounds=[(0, None)] * nvars,
         method="highs",
     )
     if not res.success:
         raise RuntimeError(f"congestion LP failed: {res.message}")
-    return float(res.x[z_col])
+    return float(res.x[nvars - 1])
 
 
 def lp_beta_upper(machine: Machine, max_pairs: int = 800) -> float:

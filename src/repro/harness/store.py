@@ -3,9 +3,9 @@
 Layout: ``root/<salt>/<job_hash>.json``, one file per completed cell.
 The **salt** partitions the store by code version: results computed by
 one version of the repo are never served to another (bump
-:data:`SCHEMA_VERSION` when a job's output format changes; the package
-version is folded in automatically).  Within a salt, the job's content
-hash is the whole key -- same ``(fn, spec)``, same file.
+:data:`SCHEMA_VERSION` when a job's output format or values change; the
+package version is folded in automatically).  Within a salt, the job's
+content hash is the whole key -- same ``(fn, spec)``, same file.
 
 Reads are defensive: a missing file is a miss, a corrupted or truncated
 file is a miss *and* an eviction (the bad file is deleted so it cannot
@@ -30,9 +30,10 @@ from repro.harness.jobs import Job, canonical_json
 
 __all__ = ["SCHEMA_VERSION", "ResultStore", "StoreStats", "default_salt"]
 
-#: Bump when the stored payload format (or any job's output schema)
-#: changes incompatibly; it invalidates every cached cell.
-SCHEMA_VERSION = 1
+#: Bump when the stored payload format, any job's output schema, or a
+#: value a job reports changes; it invalidates every cached cell.  2: the
+#: cut profile raised ``emulate``'s ``bandwidth_bound``.
+SCHEMA_VERSION = 2
 
 
 def default_salt() -> str:

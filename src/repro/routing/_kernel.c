@@ -1,5 +1,6 @@
-/* The routing tick kernel behind engine="compiled", and the dense
- * next-hop table builder behind NextHopTables.ensure_dense.
+/* The routing tick kernel behind engine="compiled", the dense next-hop
+ * table builder behind NextHopTables.ensure_dense, and the per-root
+ * sweeps of the cut profile behind the beta bracket's cut side.
  *
  * repro.routing.compiled builds this file at first use with the system
  * C compiler (`cc -O2 -shared -fPIC`), caches the shared object on disk
@@ -28,6 +29,7 @@
  * compiled.py).
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
 #define STATUS_OK 0
@@ -267,19 +269,86 @@ void route_kernel(
 }
 
 
+/* BFS from d over the CSR adjacency (indptr, indices; CSR slot e is
+ * directed edge e), picking each node's next hop toward d as it leaves
+ * the queue.  The tie-break is the one repro.routing.tables specifies:
+ * among v's CSR slots whose neighbour is one step closer to d, take the
+ * (h mod count)-th, with h = (v * 2654435761 + d * 1099087573) &
+ * 0x7FFFFFFF in int64.  When v leaves the queue, every node one step
+ * closer to d already has its level, so the scan that discovers v's
+ * unseen neighbours also counts the closer ones.
+ *
+ * Fills level (distance to d), queue (the BFS order, d first) and via
+ * (the CSR slot v forwards on; via[d] is left alone).  Unless dist is
+ * NULL, also fills column d of the row-major [node, dest] int32 tables
+ * dist, next_hop and next_eid.  Returns 0, or 1 when some node cannot
+ * reach d (a disconnected graph).
+ */
+static int64_t next_hop_tree(
+    const int64_t *indptr,
+    const int64_t *indices,
+    int64_t n,
+    int64_t d,
+    int64_t *level,
+    int64_t *queue,
+    int64_t *via,
+    int32_t *dist,
+    int32_t *next_hop,
+    int32_t *next_eid)
+{
+    for (int64_t v = 0; v < n; v++)
+        level[v] = -1;
+    level[d] = 0;
+    queue[0] = d;
+    int64_t tail = 1;
+    if (dist) {
+        dist[d * n + d] = 0;
+        next_hop[d * n + d] = (int32_t)d;
+        next_eid[d * n + d] = -1;
+    }
+    for (int64_t head = 0; head < tail; head++) {
+        int64_t v = queue[head];
+        int64_t closer = level[v] - 1;
+        int64_t count = 0;
+        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+            int64_t w = indices[e];
+            if (level[w] < 0) {
+                level[w] = level[v] + 1;
+                queue[tail++] = w;
+            } else {
+                count += level[w] == closer;
+            }
+        }
+        if (v == d)
+            continue;
+        if (count == 0)
+            return 1; /* only a directed graph gets here */
+        int64_t h = (v * 2654435761LL + d * 1099087573LL) & 0x7FFFFFFF;
+        int64_t rank = h % count;
+        int64_t e = indptr[v];
+        for (;; e++) {
+            if (level[indices[e]] == closer && rank-- == 0)
+                break;
+        }
+        via[v] = e;
+        if (dist) {
+            int64_t slot = v * n + d;
+            dist[slot] = (int32_t)level[v];
+            next_hop[slot] = (int32_t)indices[e];
+            next_eid[slot] = (int32_t)e;
+        }
+    }
+    return tail < n;
+}
+
+
 /* All-destinations next-hop tables and complete-traffic link loads.
  *
- * One BFS per destination d over the CSR adjacency (indptr, indices;
- * CSR slot e is directed edge e) fills column d of the row-major
- * [node, dest] int32 tables dist, next_hop and next_eid.  The tie-break
- * is the one repro.routing.tables specifies: among v's CSR slots whose
- * neighbour is one step closer to d, take the (h mod count)-th, with
- * h = (v * 2654435761 + d * 1099087573) & 0x7FFFFFFF in int64.
- *
- * Walking the BFS queue backwards (deepest first), each node hands its
- * subtree size to its next hop and adds it to the link it forwards on,
- * so loads[e] (zeroed by the caller) ends as the number of ordered
- * pairs (s, d) whose next-hop path crosses directed edge e.
+ * One next_hop_tree per destination d fills column d of dist, next_hop
+ * and next_eid.  Walking the BFS queue backwards (deepest first), each
+ * node hands its subtree size to its next hop and adds it to the link it
+ * forwards on, so loads[e] (zeroed by the caller) ends as the number of
+ * ordered pairs (s, d) whose next-hop path crosses directed edge e.
  *
  * queue, level, via and size are n-long scratch.  Returns 0, or 1 when
  * some node cannot reach d (a disconnected graph).
@@ -298,50 +367,9 @@ int64_t dense_tables(
     int64_t *size)
 {
     for (int64_t d = 0; d < n; d++) {
-        for (int64_t v = 0; v < n; v++)
-            level[v] = -1;
-        level[d] = 0;
-        queue[0] = d;
-        int64_t tail = 1;
-        for (int64_t head = 0; head < tail; head++) {
-            int64_t v = queue[head];
-            for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
-                int64_t w = indices[e];
-                if (level[w] < 0) {
-                    level[w] = level[v] + 1;
-                    queue[tail++] = w;
-                }
-            }
-        }
-        if (tail < n)
+        if (next_hop_tree(indptr, indices, n, d, level, queue, via,
+                          dist, next_hop, next_eid))
             return 1;
-
-        for (int64_t v = 0; v < n; v++) {
-            int64_t slot = v * n + d;
-            dist[slot] = (int32_t)level[v];
-            if (v == d) {
-                next_hop[slot] = (int32_t)d;
-                next_eid[slot] = -1;
-                continue;
-            }
-            int64_t closer = level[v] - 1;
-            int64_t count = 0;
-            for (int64_t e = indptr[v]; e < indptr[v + 1]; e++)
-                count += level[indices[e]] == closer;
-            if (count == 0)
-                return 1; /* only a directed graph gets here */
-            int64_t h = (v * 2654435761LL + d * 1099087573LL) & 0x7FFFFFFF;
-            int64_t rank = h % count;
-            int64_t e = indptr[v];
-            for (;; e++) {
-                if (level[indices[e]] == closer && rank-- == 0)
-                    break;
-            }
-            next_hop[slot] = (int32_t)indices[e];
-            next_eid[slot] = (int32_t)e;
-            via[v] = e;
-        }
-
         for (int64_t v = 0; v < n; v++)
             size[v] = 1;
         for (int64_t i = n - 1; i > 0; i--) {
@@ -350,6 +378,126 @@ int64_t dense_tables(
             size[indices[e]] += size[v];
             loads[e] += size[v];
         }
+    }
+    return 0;
+}
+
+
+/* Fold every prefix cut of one vertex order into the cut profile.
+ *
+ * order lists the vertices and pos[v] is v's index in it.  Growing the
+ * prefix by v = order[p - 1] adds v's links to later vertices to the cut
+ * and removes its links to earlier ones, so one walk over the adjacency
+ * gives every prefix's cut.  Where prefix p cuts fewer links than
+ * min_cut[p], it replaces it and witness[p] becomes id.
+ */
+static void sweep_order(
+    const int64_t *indptr,
+    const int64_t *indices,
+    int64_t n,
+    const int64_t *order,
+    const int64_t *pos,
+    int64_t *min_cut,
+    int32_t *witness,
+    int32_t id)
+{
+    int64_t cut = 0;
+    for (int64_t p = 1; p < n; p++) {
+        int64_t v = order[p - 1];
+        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++)
+            cut += pos[indices[e]] < p - 1 ? -1 : 1;
+        if (cut < min_cut[p]) {
+            min_cut[p] = cut;
+            witness[p] = id;
+        }
+    }
+}
+
+
+/* The per-root half of a machine's cut profile
+ * (repro.embedding.lower_bounds.cut_profile).
+ *
+ * For root r = roots[i], two vertex orders are swept (sweep_order):
+ * the BFS order from r (distance, then node id) as id 2i, and the
+ * postorder of r's next-hop tree (next_hop_tree; children in ascending
+ * id) as id 2i + 1.  The postorder needs no stack: subtree sizes come
+ * from the BFS queue walked backwards; a child's block starts after the
+ * blocks of its smaller-id siblings, so block starts follow the queue
+ * forwards; and each node ends its own block.
+ *
+ * min_cut (n + 1, INT64_MAX-filled) and witness (n + 1) receive the
+ * profile.  level, queue, via, order, pos, size and offset are n-long
+ * scratch.  Returns 0, or 1 for a disconnected graph.
+ */
+int64_t cut_sweeps(
+    const int64_t *indptr,
+    const int64_t *indices,
+    int64_t n,
+    const int64_t *roots,
+    int64_t nroots,
+    int64_t *min_cut,
+    int32_t *witness,
+    int64_t *level,
+    int64_t *queue,
+    int64_t *via,
+    int64_t *order,
+    int64_t *pos,
+    int64_t *size,
+    int64_t *offset)
+{
+    for (int64_t i = 0; i < nroots; i++) {
+        int64_t r = roots[i];
+        if (next_hop_tree(indptr, indices, n, r, level, queue, via,
+                          NULL, NULL, NULL))
+            return 1;
+
+        /* BFS order: a counting sort by level, node ids ascending. */
+        int64_t depth = level[queue[n - 1]];
+        for (int64_t l = 0; l <= depth; l++)
+            offset[l] = 0;
+        for (int64_t v = 0; v < n; v++)
+            offset[level[v]]++;
+        for (int64_t l = 0, start = 0; l <= depth; l++) {
+            int64_t count = offset[l];
+            offset[l] = start;
+            start += count;
+        }
+        for (int64_t v = 0; v < n; v++) {
+            pos[v] = offset[level[v]]++;
+            order[pos[v]] = v;
+        }
+        sweep_order(indptr, indices, n, order, pos, min_cut, witness,
+                    (int32_t)(2 * i));
+
+        /* Postorder of the next-hop tree. */
+        for (int64_t v = 0; v < n; v++) {
+            size[v] = 1;
+            offset[v] = 0;
+        }
+        for (int64_t k = n - 1; k > 0; k--) {
+            int64_t v = queue[k];
+            size[indices[via[v]]] += size[v];
+        }
+        /* offset[u] sums the sizes of u's children seen so far; pos[v]
+         * takes v's block start within its parent's block. */
+        for (int64_t v = 0; v < n; v++) {
+            if (v == r)
+                continue;
+            int64_t parent = indices[via[v]];
+            pos[v] = offset[parent];
+            offset[parent] += size[v];
+        }
+        pos[r] = 0;
+        for (int64_t k = 1; k < n; k++) {
+            int64_t v = queue[k];
+            pos[v] += pos[indices[via[v]]];
+        }
+        for (int64_t v = 0; v < n; v++) {
+            pos[v] += size[v] - 1;
+            order[pos[v]] = v;
+        }
+        sweep_order(indptr, indices, n, order, pos, min_cut, witness,
+                    (int32_t)(2 * i + 1));
     }
     return 0;
 }

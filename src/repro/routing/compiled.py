@@ -1,13 +1,14 @@
 """The compiled routing engine (``engine="compiled"``) and table builder.
 
-``routing/_kernel.c`` holds the whole tick loop in C, and the one-pass
+``routing/_kernel.c`` holds the whole tick loop in C, the one-pass
 builder of the dense next-hop tables that
 :meth:`repro.routing.tables.NextHopTables.ensure_dense` uses whenever
-this provider works.  At first use it is built with the system C
-compiler into a shared object cached on disk keyed by a hash of the
-source, warmed on a two-node toy route and a 3-cube's tables,
-and called through :mod:`ctypes` -- no ``Python.h``, no build
-dependency beyond ``cc``.
+this provider works, and the per-root sweeps of
+:func:`repro.embedding.lower_bounds.cut_profile`.  At first use it is
+built with the system C compiler into a shared object cached on disk
+keyed by a hash of the source, warmed on a two-node toy route and a
+3-cube's tables and cut sweeps, and called through :mod:`ctypes` -- no
+``Python.h``, no build dependency beyond ``cc``.
 
 Setting the ``REPRO_COMPILED`` environment variable to ``off`` hides
 the provider, so machines that have a toolchain can exercise the
@@ -74,11 +75,16 @@ class Provider(NamedTuple):
     :class:`~repro.topologies.base.CSRAdjacency` and returns ``(dist,
     next_hop, next_eid, loads)``: the three ``[node, dest]`` int32
     tables and the int64 complete-traffic load of each directed edge.
+    ``cuts`` takes a CSR and an int64 array of roots and returns the
+    per-root part of a cut profile, ``(min_cut, witness)``: int64 and
+    int32 arrays of length n + 1 (entries 0 and n untouched: int64 max
+    and -1).
     """
 
     name: str
     route: Callable
     tables: Callable
+    cuts: Callable
 
 
 _cache: dict[str, Provider | None] = {}
@@ -91,9 +97,10 @@ def _mode() -> str:
     return "off" if value == "off" else "auto"
 
 
-def _warmup(runner, tables) -> None:
+def _warmup(runner, tables, cuts) -> None:
     """Route one packet across a two-node machine, exercising the
-    kernel end to end, then check the table builder on a 3-cube."""
+    kernel end to end, then check the table builder and the cut sweeps
+    on a 3-cube."""
     i32, i64 = np.int32, np.int64
     out = runner(
         np.array([0, 1], dtype=i64),  # leg_flat
@@ -163,6 +170,12 @@ def _warmup(runner, tables) -> None:
     wrong = [name for name, a, b in zip(names, built, expected) if a != b]
     if wrong:
         raise AssertionError(f"table builder warmup: wrong {', '.join(wrong)}")
+    min_cut, witness = cuts(cube, np.arange(8, dtype=i64))
+    # The NumPy spec's per-root profile of the cube, entries 1..7.
+    if (min_cut[1:8].tolist(), witness[1:8].tolist()) != (
+        [3, 4, 5, 4, 5, 4, 3], [0, 0, 0, 7, 0, 0, 0]
+    ):
+        raise AssertionError("cut sweep warmup: wrong profile")
 
 
 def _find_cc() -> str | None:
@@ -274,12 +287,34 @@ def _try_cext():
             raise RuntimeError("machine graph is disconnected")
         return dist, next_hop, next_eid, loads
 
+    sweeps = lib.cut_sweeps
+    sweeps.restype = ctypes.c_int64
+    sweeps.argtypes = [p, p, s, p, s] + [p] * 9
+
+    def cuts(csr: CSRAdjacency, roots: np.ndarray):
+        n = csr.num_nodes
+        indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
+        roots = np.ascontiguousarray(roots, dtype=np.int64)
+        min_cut = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
+        witness = np.full(n + 1, -1, dtype=np.int32)
+        scratch = np.empty((7, n), dtype=np.int64)
+        status = sweeps(
+            indptr.ctypes.data, indices.ctypes.data, n,
+            roots.ctypes.data, len(roots),
+            min_cut.ctypes.data, witness.ctypes.data,
+            *(row.ctypes.data for row in scratch),
+        )
+        if status != 0:
+            raise RuntimeError("machine graph is disconnected")
+        return min_cut, witness
+
     try:
-        _warmup(runner, tables)
+        _warmup(runner, tables, cuts)
     except Exception as exc:  # pragma: no cover - would mean a miscompile
         _reasons["cext"] = f"C kernel warmup failed: {exc}"
         return None
-    return Provider("cext", runner, tables)
+    return Provider("cext", runner, tables, cuts)
 
 
 def get_provider() -> Provider | None:

@@ -85,11 +85,11 @@ def saturation_sweep(
     every non-gated run -- is byte-identical to the pre-workload code).
     """
     check_positive_int(duration, "duration")
-    rng = rng_from_seed(seed)
     n = machine.num_nodes
     with obs.span(
         "saturation_sweep", machine=machine.name, duration=duration
     ) as sp:
+        rng = rng_from_seed(seed)  # a cold process imports numpy.random here
         traffic, wl = resolve_traffic(n, traffic, workload, workload_params)
         gate_open = None if wl is None else wl.gate_open(duration)
         if rates is None:

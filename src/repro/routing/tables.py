@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs import trace as obs
 from repro.topologies.base import CSRAdjacency, Machine
 
 __all__ = ["DenseTables", "NextHopTables"]
@@ -132,12 +133,13 @@ class NextHopTables:
         # compiled.py imports this module, so resolve the provider here.
         from repro.routing.compiled import get_provider
 
-        provider = get_provider()
-        if provider is not None:
-            dist, nxt, eid, self._loads = provider.tables(self._csr)
-            self._dense = DenseTables(dist=dist, next_hop=nxt, next_eid=eid)
-        else:
-            self._dense = _numpy_dense(self._csr)
+        with obs.span("tables.dense", n=self.machine.num_nodes):
+            provider = get_provider()
+            if provider is not None:
+                dist, nxt, eid, self._loads = provider.tables(self._csr)
+                self._dense = DenseTables(dist=dist, next_hop=nxt, next_eid=eid)
+            else:
+                self._dense = _numpy_dense(self._csr)
         # The dict caches are now redundant; free them.
         self._next.clear()
         self._dist.clear()

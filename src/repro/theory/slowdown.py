@@ -82,24 +82,29 @@ def lemma8_time_lower(pattern: TrafficMultigraph, host: Machine) -> float:
       be carried by the cut links, each moving one packet per direction
       per tick, so ``T >= crossing(C) / (2 * cut_links)``.
 
-    Returns the best of these over the candidate-cut family.  Requires
-    ``|C| <= |H|``.
+    Returns the best of these over every prefix of the cut profile's
+    vertex orders (:func:`~repro.embedding.lower_bounds.order_positions`).
+    Requires ``|C| <= |H|``.
     """
     if pattern.n > host.num_nodes:
         raise ValueError(
             f"pattern has {pattern.n} vertices, host only {host.num_nodes}"
         )
-    from repro.embedding.lower_bounds import candidate_cuts, cut_edges
+    import numpy as np
 
+    from repro.embedding.lower_bounds import (
+        link_ends,
+        order_positions,
+        prefix_crossings,
+    )
+
+    links = link_ends(host)
+    pairs = np.array(list(pattern.weights), dtype=np.int64).reshape(-1, 2)
+    weights = np.fromiter(pattern.weights.values(), dtype=np.int64)
+    n = host.num_nodes
     bound = pattern.num_simple_edges / (2 * host.num_edges)
-    for side in candidate_cuts(host):
-        cut_links = cut_edges(host, side)
-        if cut_links == 0:
-            continue
-        crossing = sum(
-            w
-            for (u, v), w in pattern.weights.items()
-            if (u in side) != (v in side)
-        )
-        bound = max(bound, crossing / (2 * cut_links))
+    for pos in order_positions(host):
+        cut_links = prefix_crossings(pos, *links)[:, 1:n]
+        crossing = prefix_crossings(pos, pairs[:, 0], pairs[:, 1], weights)[:, 1:n]
+        bound = max(bound, float(np.max(crossing / (2 * cut_links))))
     return bound

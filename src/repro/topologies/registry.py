@@ -49,7 +49,10 @@ class FamilySpec:
 
     def build_with_size(self, n_target: int, **kwargs) -> Machine:
         """Build a machine of approximately ``n_target`` processors."""
-        return self.build(n_target, **kwargs)
+        from repro.obs import trace as obs
+
+        with obs.span("topology.build", family=self.key, n=n_target):
+            return self.build(n_target, **kwargs)
 
 
 def _pow2_near(n: int, lo: int = 1) -> int:

@@ -2,9 +2,12 @@
 
 scipy's lobpcg (used by networkx's ``fiedler_vector``) warns about
 convergence tolerance on the small, well-conditioned graphs this library
-feeds it; the callers all have BFS fallbacks, so the warnings carry no
-signal.  ``quiet_numerics`` scopes the suppression to the offending call
-instead of polluting global state.
+feeds it, and the warnings carry no signal.  ``quiet_numerics`` scopes
+the suppression to the offending call instead of polluting global
+state.  Its callers are the spectral embedder
+(:mod:`repro.embedding.embedders`) and the Cheeger diagnostics
+(:mod:`repro.bandwidth.spectral`); the beta bracket's cut side runs its
+own power iteration and needs neither scipy nor this.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from repro.embedding import (
     random_embedding,
     spectral_embedding,
 )
-from repro.embedding.lower_bounds import candidate_cuts
+from repro.embedding.lower_bounds import cut_edges, cut_profile, prefix_side
+from repro.routing import compiled as compiled_backend
 from repro.topologies import (
     build_de_bruijn,
     build_linear_array,
@@ -24,6 +26,7 @@ from repro.topologies import (
     build_ring,
     build_tree,
 )
+from repro.topologies.registry import all_family_keys, family_spec
 from repro.traffic import TrafficMultigraph
 
 
@@ -139,9 +142,57 @@ class TestEmbedders:
 
 
 class TestCutBounds:
-    def test_candidate_cuts_proper(self, mesh8):
-        for side in candidate_cuts(mesh8):
-            assert 0 < len(side) < mesh8.num_nodes
+    def test_profile_sides_cross_min_cut_links(self, mesh8):
+        """Each size's witness side has that size and crosses exactly
+        the profile's count of links."""
+        profile = cut_profile(mesh8)
+        n = mesh8.num_nodes
+        for p in range(1, n):
+            side = prefix_side(mesh8, p)
+            assert len(side) == p
+            assert cut_edges(mesh8, side) == profile.min_cut[p]
+        assert profile.min_cut[n // 2] == 8  # a straight bisector
+
+    def test_cut_edges_counts_each_crossing_link_once(self, mesh8):
+        side = {v for v in range(mesh8.num_nodes) if v % 3 == 0}
+        expected = sum(1 for u, v in mesh8.edges() if (u in side) != (v in side))
+        assert cut_edges(mesh8, side) == expected
+
+    @pytest.mark.parametrize("n_guest,multiplicity", [(None, 1), (40, 1), (20, 3)])
+    def test_profile_bound_is_the_best_single_cut_bound(self, n_guest, multiplicity):
+        """The vector expression over cut sizes equals the best
+        ``cut_congestion_bound`` over the witness sides."""
+        for m in (build_mesh(7, 2), build_tree(5), build_de_bruijn(6)):
+            guest = m.num_nodes if n_guest is None else n_guest
+            best = max(
+                cut_congestion_bound(m, guest, prefix_side(m, p), multiplicity)
+                for p in range(1, m.num_nodes)
+            )
+            assert congestion_lower_bound(m, n_guest, multiplicity) == best
+
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("family", all_family_keys())
+    def test_compiled_sweeps_match_numpy_spec(self, family, size, monkeypatch):
+        """The C per-root sweeps give the profile the NumPy spec does,
+        witnesses included.  Each side builds its own machine."""
+        if not compiled_backend.capability()["available"]:
+            pytest.skip("no compiled provider to compare")
+
+        def build():
+            compiled_backend._reset_provider_cache()
+            machine = family_spec(family).build_with_size(size)
+            return cut_profile(machine), congestion_lower_bound(machine)
+
+        try:
+            profile_c, bound_c = build()
+            monkeypatch.setenv("REPRO_COMPILED", "off")
+            profile_np, bound_np = build()
+        finally:
+            compiled_backend._reset_provider_cache()
+        assert profile_c.min_cut.dtype == profile_np.min_cut.dtype == np.int64
+        assert np.array_equal(profile_c.min_cut, profile_np.min_cut)
+        assert np.array_equal(profile_c.witness, profile_np.witness)
+        assert bound_c == bound_np
 
     def test_cut_bound_linear_array(self):
         """Middle cut of an array: K_n congestion >= (n/2)^2."""

@@ -304,13 +304,37 @@ class TestReport:
         assert report.counters == {"widgets": 3}
 
 
+class TestUntracedTime:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bandwidth", "mesh_2", "--size", "256"],
+            ["saturation", "mesh_2", "--size", "64", "--duration", "32"],
+            ["emulate", "de_bruijn", "mesh_2", "--guest-size", "256",
+             "--host-size", "16", "--steps", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cli_root_self_time_is_at_most_a_tenth(self, argv, tmp_path, capsys):
+        """A traced command accounts for its wall time: the machine
+        build, the table build and each computation are spans, so the
+        root's own time stays <= 10% of it."""
+        path = tmp_path / "trace.jsonl"
+        assert main([*argv, "--trace", str(path)]) == 0
+        [root] = load_report(path).roots
+        assert root.name == f"cli.{argv[0]}"
+        assert "topology.build" in [child.name for child in root.children.values()]
+        assert root.self_time <= 0.10 * root.cum, root.as_dict()
+
+
 class TestDeterministicSpanTree:
     def test_fixed_seed_measure_bandwidth_traces_identically(self):
         """Two traced runs of the same seeded measurement yield the
-        same span tree (names + counts); only timings may differ."""
-        machine = family_spec("mesh_2").build_with_size(16)
+        same span tree (names + counts); only timings may differ.  Each
+        run gets a fresh machine, so both build their tables."""
 
         def traced_shape() -> tuple:
+            machine = family_spec("mesh_2").build_with_size(16)
             sink = MemorySink()
             with obs.tracing(sink=sink):
                 measure_bandwidth(machine, num_messages=32, seed=7)
@@ -328,11 +352,11 @@ class TestDeterministicSpanTree:
         # the batched kernel when it cannot build (REPRO_COMPILED=off).
         ran = "compiled" if capability()["available"] else "fast"
         assert f"route.{ran}" in names
-        assert "traffic.build" in names
+        assert "traffic.build" in names and "tables.dense" in names
 
     def test_beta_bracket_spans_its_two_halves(self):
         """The bracket is one span with the routing congestion (which
-        covers any table build it triggers) and the cut bound as its
+        covers the table build it triggers) and the cut bound as its
         only children."""
         from repro.bandwidth import beta_bracket
 
@@ -346,7 +370,10 @@ class TestDeterministicSpanTree:
             (
                 "bandwidth.bracket",
                 1,
-                (("bandwidth.congestion", 1, ()), ("bandwidth.cuts", 1, ())),
+                (
+                    ("bandwidth.congestion", 1, (("tables.dense", 1, ()),)),
+                    ("bandwidth.cuts", 1, ()),
+                ),
             )
         ]
 
@@ -376,9 +403,9 @@ class TestDeterministicSpanTree:
         assert ran != "auto"
         assert batch["attrs"]["engine"] == ran
         if ran == "compiled":  # routed run by run, one dispatch each
-            assert [e["name"] for e in spans if e["parent"] == batch["id"]] == [
-                "route.compiled", "route.compiled"
-            ]
+            children = [e["name"] for e in spans if e["parent"] == batch["id"]]
+            # The first dispatch builds the dense tables it routes over.
+            assert children == ["tables.dense", "route.compiled", "route.compiled"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ consistency between independent implementations of the same quantity.
 
 from __future__ import annotations
 
+import functools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.emulation import (
 from repro.routing import NextHopTables, RoutingSimulator
 from repro.theory import lemma8_time_lower
 from repro.topologies import Machine, build_linear_array, build_ring
+from repro.topologies.registry import all_family_keys, family_spec
 from repro.traffic import TrafficMultigraph
 
 
@@ -196,3 +199,83 @@ class TestCongestionConsistency:
         from repro.embedding import congestion_lower_bound
 
         assert congestion_lower_bound(m) <= lp_min_congestion(m) + 1e-6
+
+    @given(random_machine(max_n=12))
+    @QUICK
+    def test_each_order_kind_below_lp(self, m):
+        """Every kind of swept vertex order is a valid bound on its own."""
+        from repro.bandwidth import lp_min_congestion
+
+        lp = lp_min_congestion(m)
+        for kind, rows in orders_by_kind(m).items():
+            assert best_single_cut_bound(m, rows) <= lp + 1e-6, kind
+
+
+def orders_by_kind(machine) -> dict[str, np.ndarray]:
+    """The cut profile's vertex orders (as position rows), by kind."""
+    from repro.embedding.lower_bounds import MAX_ROOTS, order_positions
+
+    rows = np.vstack(list(order_positions(machine)))
+    per_root = 2 * min(machine.num_nodes, MAX_ROOTS)
+    kinds = {
+        "bfs": rows[0:per_root:2],
+        "postorder": rows[1:per_root:2],
+        "fiedler": rows[-1:],
+    }
+    if len(rows) > per_root + 1:
+        kinds["labels"] = rows[per_root:-1]
+    return kinds
+
+
+def best_single_cut_bound(machine, rows: np.ndarray) -> float:
+    """The best ``cut_congestion_bound`` over every prefix of ``rows``."""
+    from repro.embedding import cut_congestion_bound
+
+    n = machine.num_nodes
+    return max(
+        cut_congestion_bound(machine, n, set(np.flatnonzero(pos < p).tolist()))
+        for pos in rows
+        for p in range(1, n)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def small_family_lp(key: str) -> float | None:
+    """LP-exact congestion of ``key`` at n ~ 24; None past ``max_pairs``."""
+    from repro.bandwidth import lp_min_congestion
+
+    m = family_spec(key).build_with_size(24)
+    n = m.num_nodes
+    return lp_min_congestion(m) if n * (n - 1) // 2 <= 800 else None
+
+
+class TestCutProfileAgainstLp:
+    @pytest.mark.parametrize("key", all_family_keys())
+    def test_every_order_kind_below_lp_at_n24(self, key):
+        """Each small family's profile bound, and each order kind's on
+        its own, stays below the LP-exact optimum."""
+        from repro.embedding import congestion_lower_bound
+
+        lp = small_family_lp(key)
+        if lp is None:
+            pytest.skip("more pairs than the LP's max_pairs")
+        m = family_spec(key).build_with_size(24)
+        assert congestion_lower_bound(m) <= lp + 1e-6
+        for kind, rows in orders_by_kind(m).items():
+            assert best_single_cut_bound(m, rows) <= lp + 1e-6, kind
+
+    def test_profile_reaches_lp_on_most_small_families(self):
+        """The sweeps are near-exact at n ~ 24: the bound equals the LP
+        optimum on at least 32 of the 39 families the LP can solve."""
+        from repro.embedding import congestion_lower_bound
+
+        solved = {k: small_family_lp(k) for k in all_family_keys()}
+        solved = {k: lp for k, lp in solved.items() if lp is not None}
+        exact = [
+            key
+            for key, lp in solved.items()
+            if congestion_lower_bound(family_spec(key).build_with_size(24))
+            == pytest.approx(lp, rel=1e-9)
+        ]
+        assert len(solved) == 39
+        assert len(exact) >= 32, sorted(set(solved) - set(exact))

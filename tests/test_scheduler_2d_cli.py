@@ -226,9 +226,9 @@ class TestCli:
         call, so the commands that print registry metadata or symbolic
         tables load none of numpy, scipy or networkx, and the ones that
         compute never load ``scipy.optimize`` (only ``lp_bound`` needs
-        it).  With the compiled provider the dense tables need no scipy,
-        so ``saturation`` loads none of it.  Each check is a fresh
-        interpreter.
+        it).  With the compiled provider the dense tables and the cut
+        profile need no scipy, so ``bandwidth``, ``saturation`` and
+        ``emulate`` load none of it.  Each check is a fresh interpreter.
         """
         numeric = {"numpy", "scipy", "networkx"}
         light = [
@@ -255,10 +255,9 @@ class TestCli:
             for args, mods in imported.items()
         )
         if capability()["available"]:
-            saturation = compute[1]
-            loaded[saturation] = sorted(
-                mod for mod in imported[saturation]
-                if mod.partition(".")[0] == "scipy"
+            loaded.update(
+                (args, sorted(m for m in mods if m.partition(".")[0] == "scipy"))
+                for args, mods in imported.items()
             )
         assert {args: mods for args, mods in loaded.items() if mods} == {}
         http = {"http.server", "repro.service.app"}
