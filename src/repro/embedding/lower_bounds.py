@@ -65,8 +65,8 @@ MAX_ROOTS = 1024
 
 _FIEDLER_ITERATIONS = 300
 
-# Rows of positions swept per bincount, so the (rows x links) index
-# arrays stay near 32 MB.
+# (orders x links) cells swept per bincount, so its int64 index arrays
+# stay near 32 MB.
 _SWEEP_CELLS = 4_000_000
 
 

@@ -404,8 +404,11 @@ static void sweep_order(
     int64_t cut = 0;
     for (int64_t p = 1; p < n; p++) {
         int64_t v = order[p - 1];
-        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++)
-            cut += pos[indices[e]] < p - 1 ? -1 : 1;
+        for (int64_t e = indptr[v]; e < indptr[v + 1]; e++) {
+            int64_t w = indices[e];
+            if (w != v) /* a self-loop crosses no cut */
+                cut += pos[w] < p - 1 ? -1 : 1;
+        }
         if (cut < min_cut[p]) {
             min_cut[p] = cut;
             witness[p] = id;
