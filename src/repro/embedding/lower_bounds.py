@@ -234,11 +234,14 @@ def order_positions(machine: Machine) -> Iterator[np.ndarray]:
     """
     n = machine.num_nodes
     dense = NextHopTables.shared(machine).ensure_dense()
+    indices = machine.csr_adjacency().indices
     roots = _roots(n)
     step = max(1, (1 << 20) // n)
     for lo in range(0, len(roots), step):
         chunk = roots[lo : lo + step]
-        yield _root_positions(dense.dist[chunk], dense.next_hop[:, chunk].T, chunk)
+        parent = indices[dense.next_eid[:, chunk].T]
+        parent[np.arange(len(chunk)), chunk] = chunk
+        yield _root_positions(dense.dist[chunk], parent, chunk)
     yield _extra_positions(machine)
 
 

@@ -113,7 +113,8 @@ class Emulator:
             )
         self.guest = guest
         self.host = host
-        self.assignment = self._balanced_locality_map()
+        with obs.span("emulate.map"):
+            self.assignment = self._balanced_locality_map()
 
     def _balanced_locality_map(self) -> np.ndarray:
         """guest vertex -> host processor, BFS-linearised on both sides."""

@@ -25,7 +25,6 @@ from repro.harness.jobs import (
     JobError,
     TransientJobError,
     canonical_json,
-    register_job,
     resolve_job,
 )
 from repro.harness.store import ResultStore, StoreStats, default_salt
@@ -51,7 +50,6 @@ __all__ = [
     "default_salt",
     "expand_grid",
     "local_executor",
-    "register_job",
     "resolve_executor",
     "resolve_job",
     "run_sweep",

@@ -34,7 +34,6 @@ __all__ = [
     "canonical_json",
     "canonical_path",
     "preload_jobs",
-    "register_job",
     "resolve_job",
 ]
 
@@ -56,13 +55,6 @@ class JobError(RuntimeError):
 class TransientJobError(JobError):
     """A job failed transiently (timeout, resource blip); executors
     retry these up to their retry budget."""
-
-
-def register_job(alias: str, path: str) -> None:
-    """Register ``alias`` as a short name for the job function ``path``."""
-    if ":" not in path:
-        raise ValueError(f"job path must look like 'module:callable', got {path!r}")
-    BUILTIN_JOBS[alias] = path
 
 
 def canonical_path(fn: str) -> str:

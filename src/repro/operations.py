@@ -48,9 +48,9 @@ __all__ = [
     "client_error",
 ]
 
-#: Largest machine any endpoint will build.  Dense next-hop tables are
-#: O(n^2) int32 (see docs/PERFORMANCE.md): ~200 MB at n=4096, which is
-#: the practical per-request ceiling for a shared server.
+#: Largest machine any endpoint will build.  The dense next-hop tables
+#: are two n x n int32 matrices (see docs/PERFORMANCE.md): ~128 MB at
+#: n=4096, which is the practical per-request ceiling for a shared server.
 MAX_MACHINE_SIZE = 4096
 
 #: Largest accepted seed (fits any 32-bit rng path).

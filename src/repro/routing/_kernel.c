@@ -281,8 +281,9 @@ void route_kernel(
  * Fills level (distance to d), queue (the BFS order, d first) and via
  * (the CSR slot v forwards on; via[d] is left alone).  Unless dist is
  * NULL, also fills column d of the row-major [node, dest] int32 tables
- * dist, next_hop and next_eid.  Returns 0, or 1 when some node cannot
- * reach d (a disconnected graph).
+ * dist and next_eid (the next hop is indices[next_eid]; next_eid[d, d]
+ * is -1).  Returns 0, or 1 when some node cannot reach d (a
+ * disconnected graph).
  */
 static int64_t next_hop_tree(
     const int64_t *indptr,
@@ -293,7 +294,6 @@ static int64_t next_hop_tree(
     int64_t *queue,
     int64_t *via,
     int32_t *dist,
-    int32_t *next_hop,
     int32_t *next_eid)
 {
     for (int64_t v = 0; v < n; v++)
@@ -303,7 +303,6 @@ static int64_t next_hop_tree(
     int64_t tail = 1;
     if (dist) {
         dist[d * n + d] = 0;
-        next_hop[d * n + d] = (int32_t)d;
         next_eid[d * n + d] = -1;
     }
     for (int64_t head = 0; head < tail; head++) {
@@ -334,7 +333,6 @@ static int64_t next_hop_tree(
         if (dist) {
             int64_t slot = v * n + d;
             dist[slot] = (int32_t)level[v];
-            next_hop[slot] = (int32_t)indices[e];
             next_eid[slot] = (int32_t)e;
         }
     }
@@ -344,8 +342,8 @@ static int64_t next_hop_tree(
 
 /* All-destinations next-hop tables and complete-traffic link loads.
  *
- * One next_hop_tree per destination d fills column d of dist, next_hop
- * and next_eid.  Walking the BFS queue backwards (deepest first), each
+ * One next_hop_tree per destination d fills column d of dist and
+ * next_eid.  Walking the BFS queue backwards (deepest first), each
  * node hands its subtree size to its next hop and adds it to the link it
  * forwards on, so loads[e] (zeroed by the caller) ends as the number of
  * ordered pairs (s, d) whose next-hop path crosses directed edge e.
@@ -358,7 +356,6 @@ int64_t dense_tables(
     const int64_t *indices,
     int64_t n,
     int32_t *dist,
-    int32_t *next_hop,
     int32_t *next_eid,
     int64_t *loads,
     int64_t *queue,
@@ -368,7 +365,7 @@ int64_t dense_tables(
 {
     for (int64_t d = 0; d < n; d++) {
         if (next_hop_tree(indptr, indices, n, d, level, queue, via,
-                          dist, next_hop, next_eid))
+                          dist, next_eid))
             return 1;
         for (int64_t v = 0; v < n; v++)
             size[v] = 1;
@@ -451,7 +448,7 @@ int64_t cut_sweeps(
     for (int64_t i = 0; i < nroots; i++) {
         int64_t r = roots[i];
         if (next_hop_tree(indptr, indices, n, r, level, queue, via,
-                          NULL, NULL, NULL))
+                          NULL, NULL))
             return 1;
 
         /* BFS order: a counting sort by level, node ids ascending. */

@@ -1,7 +1,7 @@
 """The compiled routing engine (``engine="compiled"``) and table builder.
 
 ``routing/_kernel.c`` holds the whole tick loop in C, the one-pass
-builder of the dense next-hop tables that
+builder of the dense ``(dist, next_eid)`` next-hop tables that
 :meth:`repro.routing.tables.NextHopTables.ensure_dense` uses whenever
 this provider works, and the per-root sweeps of
 :func:`repro.embedding.lower_bounds.cut_profile`.  At first use it is
@@ -73,8 +73,9 @@ class Provider(NamedTuple):
     and returns its 5-tuple ``(status, total_time, max_queue,
     ticks_skipped, undelivered_left)``.  ``tables`` takes a
     :class:`~repro.topologies.base.CSRAdjacency` and returns ``(dist,
-    next_hop, next_eid, loads)``: the three ``[node, dest]`` int32
-    tables and the int64 complete-traffic load of each directed edge.
+    next_eid, loads)``: the two ``[node, dest]`` int32 tables of
+    :class:`~repro.routing.tables.DenseTables` and the int64
+    complete-traffic load of each directed edge.
     ``cuts`` takes a CSR and an int64 array of roots and returns the
     per-root part of a cut profile, ``(min_cut, witness)``: int64 and
     int32 arrays of length n + 1 (entries 0 and n untouched: int64 max
@@ -142,18 +143,12 @@ def _warmup(runner, tables, cuts) -> None:
         np.repeat(np.arange(8, dtype=i32), 3),
     )
     built = [a.ravel().tolist() for a in tables(cube)]
-    expected = [  # the NumPy build's dist, next_hop, next_eid and loads
+    expected = [  # the NumPy build's dist, next_eid and loads
         [
             0, 1, 1, 2, 1, 2, 2, 3, 1, 0, 2, 1, 2, 1, 3, 2,
             1, 2, 0, 1, 2, 3, 1, 2, 2, 1, 1, 0, 3, 2, 2, 1,
             1, 2, 2, 3, 0, 1, 1, 2, 2, 1, 3, 2, 1, 0, 2, 1,
             2, 3, 1, 2, 1, 2, 0, 1, 3, 2, 2, 1, 2, 1, 1, 0,
-        ],
-        [
-            0, 1, 2, 2, 4, 4, 2, 2, 0, 1, 3, 3, 5, 5, 5, 3,
-            0, 3, 2, 3, 0, 0, 6, 6, 2, 1, 2, 3, 1, 1, 7, 7,
-            0, 5, 0, 5, 4, 5, 6, 6, 4, 1, 7, 1, 4, 5, 7, 7,
-            2, 7, 2, 7, 4, 7, 6, 7, 3, 3, 6, 3, 6, 5, 6, 7,
         ],
         [
             -1, 0, 1, 1, 2, 2, 1, 1, 3, -1, 4, 4, 5, 5, 5, 4,
@@ -166,7 +161,7 @@ def _warmup(runner, tables, cuts) -> None:
             3, 5, 2, 4, 4, 4, 4, 2, 7, 5, 2, 7,
         ],
     ]
-    names = ("dist", "next_hop", "next_eid", "loads")
+    names = ("dist", "next_eid", "loads")
     wrong = [name for name, a, b in zip(names, built, expected) if a != b]
     if wrong:
         raise AssertionError(f"table builder warmup: wrong {', '.join(wrong)}")
@@ -267,25 +262,24 @@ def _try_cext():
 
     build = lib.dense_tables
     build.restype = ctypes.c_int64
-    build.argtypes = [p, p, s] + [p] * 8
+    build.argtypes = [p, p, s] + [p] * 7
 
     def tables(csr: CSRAdjacency):
         n = csr.num_nodes
         indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
         dist = np.empty((n, n), dtype=np.int32)
-        next_hop = np.empty((n, n), dtype=np.int32)
         next_eid = np.empty((n, n), dtype=np.int32)
         loads = np.zeros(csr.num_directed_edges, dtype=np.int64)
         scratch = np.empty((4, n), dtype=np.int64)
         status = build(
             indptr.ctypes.data, indices.ctypes.data, n,
-            dist.ctypes.data, next_hop.ctypes.data, next_eid.ctypes.data,
-            loads.ctypes.data, *(row.ctypes.data for row in scratch),
+            dist.ctypes.data, next_eid.ctypes.data, loads.ctypes.data,
+            *(row.ctypes.data for row in scratch),
         )
         if status != 0:
             raise RuntimeError("machine graph is disconnected")
-        return dist, next_hop, next_eid, loads
+        return dist, next_eid, loads
 
     sweeps = lib.cut_sweeps
     sweeps.restype = ctypes.c_int64

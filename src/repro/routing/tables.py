@@ -1,19 +1,22 @@
 """All-pairs next-hop routing tables: lazy per destination, or dense.
 
-Three build paths produce bit-identical tables:
+Every path holds the same two ``[node, dest]`` tables: the shortest-path
+distance, and the *directed edge id* (CSR slot) of the next hop, which
+is what the routing engines consume.  The next node itself is
+``csr.indices[next_eid]``.  Three build paths produce them bit-identical:
 
-* the original lazy path -- one Python BFS per destination, cached in a
-  dict, cheap when a batch touches few distinct destinations;
+* the lazy path -- one Python BFS per destination, caching that
+  destination's ``(dist, next_eid)`` column, cheap when a batch touches
+  few distinct destinations;
 * :meth:`NextHopTables.ensure_dense` -- all destinations at once.  When
   the compiled provider works (:mod:`repro.routing.compiled`), one C
   pass runs a BFS per destination over the machine's CSR adjacency and
-  fills the tables.  Otherwise (no C compiler, or
+  fills both n x n tables.  Otherwise (no C compiler, or
   ``REPRO_COMPILED=off``) the NumPy build does: the distance matrix
   comes from ``scipy.sparse.csgraph``, and the next-hop choice is
   resolved for every (node, destination) pair with vectorized NumPy
   over the directed-edge arrays.  The NumPy build is also the spec the
-  C pass is tested against.  The dense tables also record the *directed
-  edge id* of each next hop, which is what the routing engines consume.
+  C pass is tested against.
 
 :meth:`NextHopTables.complete_loads` gives each directed link's load
 when every ordered pair sends one packet along the next-hop trees, the
@@ -55,11 +58,14 @@ _HASH_MASK = 0x7FFFFFFF
 
 @dataclass(frozen=True)
 class DenseTables:
-    """All-destinations tables: ``[node, dest]``-indexed int32 matrices."""
+    """All-destinations tables: ``[node, dest]``-indexed int32 matrices.
+
+    The next node from ``u`` toward ``d != u`` is
+    ``csr.indices[next_eid[u, d]]``; ``next_eid[d, d]`` is -1.
+    """
 
     dist: np.ndarray  # dist[u, d] = shortest-path distance u -> d
-    next_hop: np.ndarray  # next_hop[u, d] = next node from u toward d
-    next_eid: np.ndarray  # next_eid[u, d] = directed edge id of that hop
+    next_eid: np.ndarray  # next_eid[u, d] = directed edge id of u's next hop
 
 
 class NextHopTables:
@@ -68,8 +74,7 @@ class NextHopTables:
     def __init__(self, machine: Machine):
         self.machine = machine
         self._csr = machine.csr_adjacency()
-        self._next: dict[int, np.ndarray] = {}
-        self._dist: dict[int, np.ndarray] = {}
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._dense: DenseTables | None = None
         self._loads: np.ndarray | None = None
 
@@ -84,13 +89,12 @@ class NextHopTables:
 
     # -- lazy per-destination build (the original executable spec) ----------
 
-    def _build(self, dest: int) -> None:
+    def _bfs(self, dest: int) -> tuple[np.ndarray, np.ndarray]:
         n = self.machine.num_nodes
         indptr, indices = self._csr.indptr, self._csr.indices
-        nxt = np.full(n, -1, dtype=np.int32)
         dist = np.full(n, -1, dtype=np.int32)
+        eid = np.full(n, -1, dtype=np.int32)
         dist[dest] = 0
-        nxt[dest] = dest
         frontier = [dest]
         while frontier:
             new_frontier: list[int] = []
@@ -108,14 +112,26 @@ class NextHopTables:
                 continue
             dv = dist[v]
             cands = [
-                int(w)
-                for w in indices[indptr[v] : indptr[v + 1]]
-                if dist[w] == dv - 1
+                e
+                for e in range(indptr[v], indptr[v + 1])
+                if dist[indices[e]] == dv - 1
             ]
             h = (v * _HASH_A + dest * _HASH_B) & _HASH_MASK
-            nxt[v] = cands[h % len(cands)]
-        self._next[dest] = nxt
-        self._dist[dest] = dist
+            eid[v] = cands[h % len(cands)]
+        return dist, eid
+
+    def _column(self, dest: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every node's ``(dist, next_eid)`` toward ``dest``, cached: views
+        of the dense tables once built, else the lazy BFS's column."""
+        column = self._columns.get(dest)
+        if column is None:
+            dense = self._dense
+            column = self._columns[dest] = (
+                (dense.dist[:, dest], dense.next_eid[:, dest])
+                if dense is not None
+                else self._bfs(dest)
+            )
+        return column
 
     # -- dense batched build -------------------------------------------------
 
@@ -126,7 +142,6 @@ class NextHopTables:
         if self.machine.num_nodes == 1:
             self._dense = DenseTables(
                 dist=np.zeros((1, 1), dtype=np.int32),
-                next_hop=np.zeros((1, 1), dtype=np.int32),
                 next_eid=np.full((1, 1), -1, dtype=np.int32),
             )
             return self._dense
@@ -136,13 +151,12 @@ class NextHopTables:
         with obs.span("tables.dense", n=self.machine.num_nodes):
             provider = get_provider()
             if provider is not None:
-                dist, nxt, eid, self._loads = provider.tables(self._csr)
-                self._dense = DenseTables(dist=dist, next_hop=nxt, next_eid=eid)
+                dist, eid, self._loads = provider.tables(self._csr)
+                self._dense = DenseTables(dist=dist, next_eid=eid)
             else:
                 self._dense = _numpy_dense(self._csr)
-        # The dict caches are now redundant; free them.
-        self._next.clear()
-        self._dist.clear()
+        # The lazy columns are now redundant; free them.
+        self._columns.clear()
         return self._dense
 
     def complete_loads(self) -> np.ndarray:
@@ -160,15 +174,15 @@ class NextHopTables:
         dense = self.ensure_dense()
         if self._loads is None:
             n = self.machine.num_nodes
-            dist, nxt = dense.dist, dense.next_hop
+            dist = dense.dist
             loads = np.zeros(self._csr.num_directed_edges, dtype=np.int64)
             sizes = np.ones((n, n), dtype=np.int64)
             for level in range(int(dist.max()), 0, -1):
                 v_idx, d_idx = np.nonzero(dist == level)
-                parents = nxt[v_idx, d_idx].astype(np.int64)
+                hops = dense.next_eid[v_idx, d_idx]
                 contrib = sizes[v_idx, d_idx]
-                np.add.at(sizes, (parents, d_idx), contrib)
-                np.add.at(loads, dense.next_eid[v_idx, d_idx], contrib)
+                np.add.at(sizes, (self._csr.indices[hops], d_idx), contrib)
+                np.add.at(loads, hops, contrib)
             self._loads = loads
         return self._loads
 
@@ -176,35 +190,24 @@ class NextHopTables:
 
     def next_hop(self, node: int, dest: int) -> int:
         """Next node on a shortest path from ``node`` toward ``dest``."""
-        if self._dense is not None:
-            return int(self._dense.next_hop[node, dest])
-        if dest not in self._next:
-            self._build(dest)
-        return int(self._next[dest][node])
+        if node == dest:
+            return dest
+        return int(self._csr.indices[self._column(dest)[1][node]])
 
     def distance(self, node: int, dest: int) -> int:
         """Shortest-path distance from ``node`` to ``dest``."""
-        if self._dense is not None:
-            return int(self._dense.dist[node, dest])
-        if dest not in self._dist:
-            self._build(dest)
-        return int(self._dist[dest][node])
+        return int(self._column(dest)[0][node])
 
     def distance_array(self, dest: int) -> np.ndarray:
         """Vector of distances from every node to ``dest``."""
-        if self._dense is not None:
-            return self._dense.dist[:, dest]
-        if dest not in self._dist:
-            self._build(dest)
-        return self._dist[dest]
+        return self._column(dest)[0]
 
     def next_array(self, dest: int) -> np.ndarray:
-        """Vector of next hops from every node toward ``dest``."""
-        if self._dense is not None:
-            return self._dense.next_hop[:, dest]
-        if dest not in self._next:
-            self._build(dest)
-        return self._next[dest]
+        """Vector of next hops from every node toward ``dest`` (``dest``
+        itself at ``dest``)."""
+        nxt = self._csr.indices[self._column(dest)[1]]
+        nxt[dest] = dest
+        return nxt
 
     def path(self, src: int, dest: int) -> list[int]:
         """A concrete shortest path (list of nodes, inclusive)."""
@@ -240,7 +243,7 @@ class NextHopTables:
         """Number of destinations with built tables."""
         if self._dense is not None:
             return self.machine.num_nodes
-        return len(self._next)
+        return len(self._columns)
 
 
 def _numpy_dense(csr: CSRAdjacency) -> DenseTables:
@@ -269,7 +272,6 @@ def _numpy_dense(csr: CSRAdjacency) -> DenseTables:
     indices = csr.indices
     edge_src = csr.edge_src
     num_edges = csr.num_directed_edges
-    nxt = np.empty((n, n), dtype=np.int32)
     eid = np.empty((n, n), dtype=np.int32)
 
     # h[v, d]: the deterministic tie-break hash (int64 arithmetic is
@@ -301,10 +303,8 @@ def _numpy_dense(csr: CSRAdjacency) -> DenseTables:
         target = offset + rank
         sel = cand & (cum == target[edge_src])
         e_idx, d_idx = np.nonzero(sel)
-        nxt[edge_src[e_idx], lo + d_idx] = indices[e_idx]
         eid[edge_src[e_idx], lo + d_idx] = e_idx.astype(np.int32)
 
     diag = np.arange(n)
-    nxt[diag, diag] = diag
     eid[diag, diag] = -1
-    return DenseTables(dist=dist, next_hop=nxt, next_eid=eid)
+    return DenseTables(dist=dist, next_eid=eid)

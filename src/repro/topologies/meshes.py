@@ -18,13 +18,14 @@ from repro.util import check_positive_int
 __all__ = ["build_mesh", "build_torus", "build_xgrid", "mesh_side_for_size"]
 
 
-def mesh_side_for_size(n_target: int, k: int) -> int:
-    """Side length whose k-dim mesh is closest to ``n_target`` nodes."""
+def mesh_side_for_size(n_target: int, k: int, minimum: int = 2) -> int:
+    """Side length, at least ``minimum``, whose k-dim mesh is closest to
+    ``n_target`` nodes."""
     check_positive_int(n_target, "n_target")
     check_positive_int(k, "k")
-    side = max(2, round(n_target ** (1.0 / k)))
+    side = max(minimum, round(n_target ** (1.0 / k)))
     best = min(
-        (s for s in (side - 1, side, side + 1) if s >= 2),
+        (s for s in (side - 1, side, side + 1) if s >= minimum),
         key=lambda s: abs(s**k - n_target),
     )
     return best

@@ -129,10 +129,8 @@ def _grid_builder(name, k, min_side=2):
     def build(n, **kw):
         from repro.topologies import meshes
 
-        side = max(min_side, round(n ** (1.0 / k)))
-        candidates = [s for s in (side - 1, side, side + 1) if s >= min_side]
-        best = min(candidates, key=lambda s: abs(s**k - n))
-        return getattr(meshes, name)(best, k=k)
+        side = meshes.mesh_side_for_size(n, k, minimum=min_side)
+        return getattr(meshes, name)(side, k=k)
 
     return build
 

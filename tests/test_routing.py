@@ -104,10 +104,10 @@ class TestNextHopTables:
             n = m.num_nodes
             for d in range(n):
                 assert np.array_equal(lazy.distance_array(d), dense.dist[:, d])
-                assert np.array_equal(lazy.next_array(d), dense.next_hop[:, d])
+                assert np.array_equal(lazy.next_array(d), dense_t.next_array(d))
 
     def test_dense_edge_ids_consistent(self):
-        """next_eid slots point at the CSR slot of the chosen next hop."""
+        """next_eid slots are out-edges leading one step closer."""
         m = build_de_bruijn(4)
         t = NextHopTables(m)
         dense = t.ensure_dense()
@@ -120,13 +120,13 @@ class TestNextHopTables:
                     continue
                 e = dense.next_eid[v, d]
                 assert csr.edge_src[e] == v
-                assert csr.indices[e] == dense.next_hop[v, d]
+                assert dense.dist[csr.indices[e], d] == dense.dist[v, d] - 1
 
     @pytest.mark.parametrize("size", [64, 256])
     @pytest.mark.parametrize("family", all_family_keys())
     def test_compiled_pass_matches_numpy_build(self, family, size, monkeypatch):
         """The C table pass equals the NumPy build it stands in for: the
-        three tables, the complete-traffic loads and the congestion
+        two tables, the complete-traffic loads and the congestion
         they reduce to.  Each side builds its own machine, so neither
         reads the other's shared tables."""
         if not compiled_backend.capability()["available"]:
@@ -148,13 +148,36 @@ class TestNextHopTables:
             dense_np, loads_np, congestion_np = build()
         finally:
             compiled_backend._reset_provider_cache()
-        for name in ("dist", "next_hop", "next_eid"):
+        for name in ("dist", "next_eid"):
             a, b = getattr(dense_c, name), getattr(dense_np, name)
             assert a.dtype == b.dtype == np.int32, name
             assert np.array_equal(a, b), name
         assert loads_c.dtype == loads_np.dtype == np.int64
         assert np.array_equal(loads_c, loads_np)
         assert congestion_c == congestion_np
+
+    @pytest.mark.parametrize("family", ["mesh_2", "hypercube", "de_bruijn"])
+    def test_dense_tables_hold_two_matrices(self, family):
+        """After ``ensure_dense`` on a 1024-node machine, the tables hold
+        the two n x n int32 matrices plus O(n + E) bytes (the C pass's
+        int64 link loads), on whichever build path runs."""
+        import tracemalloc
+
+        spec = family_spec(family)
+        # Import what a build imports (scipy off the C path) untraced.
+        NextHopTables(spec.build_with_size(16)).ensure_dense()
+        machine = spec.build_with_size(1024)
+        n = machine.num_nodes
+        num_edges = machine.csr_adjacency().num_directed_edges
+        tracemalloc.start()
+        try:
+            tables = NextHopTables(machine)
+            tables.ensure_dense()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n == 1024
+        assert held <= 2 * 4 * n * n + 8 * (n + num_edges), held
 
     def test_disconnected_adjacency_raises_on_both_builds(self):
         """Machines are connected by construction; the dense builds
